@@ -36,7 +36,9 @@ const INVALID_LINE: u64 = u64::MAX;
 /// One cache instance (structure-of-arrays way metadata).
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: u64,
+    /// `sets - 1`: the set count is a power of two, so a line's set is
+    /// its low bits.
+    set_mask: u64,
     ways: usize,
     /// Line tags, `sets * ways` long; `INVALID_LINE` = empty way.
     tags: Vec<u64>,
@@ -49,11 +51,22 @@ pub struct Cache {
 
 impl Cache {
     /// Builds an empty cache of the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set count is a power of two. Sets are indexed
+    /// by mask, so any other count would silently alias sets; the check
+    /// is repeated here because `CacheGeometry`'s fields are public and
+    /// a struct literal bypasses [`CacheGeometry::new`].
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count {sets} must be a power of two"
+        );
         let slots = (sets as usize) * geom.ways;
         Cache {
-            sets,
+            set_mask: sets - 1,
             ways: geom.ways,
             tags: vec![INVALID_LINE; slots],
             dirty: vec![false; slots],
@@ -64,7 +77,7 @@ impl Cache {
 
     #[inline]
     fn set_base(&self, line: u64) -> usize {
-        ((line % self.sets) as usize) * self.ways
+        ((line & self.set_mask) as usize) * self.ways
     }
 
     /// Probes the set for `line`; returns the absolute slot index on a
@@ -293,6 +306,16 @@ mod tests {
         assert_eq!(c.fill(addr(512), false), None);
         assert!(c.contains(addr(256)));
         assert!(c.contains(addr(512)));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn struct_literal_geometry_with_non_power_of_two_sets_rejected() {
+        // 3 sets of 5 ways: `CacheGeometry::new` would refuse this.
+        let _ = Cache::new(CacheGeometry {
+            size_bytes: 3 * 5 * 64,
+            ways: 5,
+        });
     }
 
     #[test]

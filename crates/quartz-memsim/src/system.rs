@@ -7,6 +7,7 @@
 //! discrete-event thread scheduler stays in charge of time.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -63,22 +64,60 @@ pub struct AccessResult {
     pub served: ServiceLevel,
 }
 
+/// Hasher for the maps keyed by simulated line number: one multiply,
+/// with the high half folded down because the map indexes buckets by
+/// the low bits and strided line numbers share theirs. The keys come
+/// from the simulation, not from outside input, so flooding resistance
+/// buys nothing; and nothing iterates these maps, so the hasher cannot
+/// change any output.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by simulated line number.
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
 struct Inner {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     /// One per socket.
     l3: Vec<Cache>,
+    /// Cores whose private caches received a fill since the last
+    /// `invalidate_caches`, in first-fill order; `is_active` flags the
+    /// same cores. Every core outside the set has an empty L1 and L2,
+    /// so the store's write-invalidate visits only these: a probe of a
+    /// cache that was never filled cannot match any line.
+    active_cores: Vec<usize>,
+    is_active: Vec<bool>,
     tlbs: Vec<Tlb>,
     prefetchers: Vec<Prefetcher>,
     channels: DramChannels,
     /// Prefetches in flight: line -> instant the data arrives in L3.
-    inflight: HashMap<u64, SimTime>,
+    inflight: LineMap<SimTime>,
     /// Coherence registry: cache lines held Modified in a core's
     /// *private* (L1/L2) caches: line -> owning core. Stores
     /// write-invalidate other owners; loads that miss the shared L3 but
     /// hit another core's modified line are served by a cache-to-cache
     /// snoop transfer (HITM) instead of DRAM.
-    dirty_owner: HashMap<u64, usize>,
+    dirty_owner: LineMap<usize>,
     /// Outstanding RFO completions per core (store misses).
     rfo: Vec<VecDeque<SimTime>>,
     /// Outstanding write-combining (streaming-store) completions per core.
@@ -117,6 +156,16 @@ impl Inner {
     fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(rec) = self.rec.as_deref_mut() {
             rec.push(ev());
+        }
+    }
+
+    /// Adds `core` to the active-core set; called before every fill of
+    /// its L1 or L2.
+    #[inline]
+    fn mark_active(&mut self, core: usize) {
+        if !self.is_active[core] {
+            self.is_active[core] = true;
+            self.active_cores.push(core);
         }
     }
 }
@@ -160,13 +209,15 @@ impl MemorySystem {
             l1: (0..cores).map(|_| Cache::new(config.l1)).collect(),
             l2: (0..cores).map(|_| Cache::new(config.l2)).collect(),
             l3: (0..sockets).map(|_| Cache::new(config.l3)).collect(),
+            active_cores: Vec::new(),
+            is_active: vec![false; cores],
             tlbs: (0..cores).map(|_| Tlb::new(config.tlb)).collect(),
             prefetchers: (0..cores)
                 .map(|_| Prefetcher::new(config.prefetch))
                 .collect(),
             channels,
-            inflight: HashMap::new(),
-            dirty_owner: HashMap::new(),
+            inflight: LineMap::default(),
+            dirty_owner: LineMap::default(),
             rfo: (0..cores).map(|_| VecDeque::new()).collect(),
             wc: (0..cores).map(|_| VecDeque::new()).collect(),
             stats: MemStats::new(topo.num_nodes()),
@@ -312,6 +363,8 @@ impl MemorySystem {
         {
             c.invalidate_all();
         }
+        g.active_cores.clear();
+        g.is_active.fill(false);
         for t in &mut g.tlbs {
             t.flush();
         }
@@ -634,6 +687,7 @@ impl MemorySystem {
     }
 
     fn fill_l1(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
+        g.mark_active(core);
         if let Some(ev) = g.l1[core].fill(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
@@ -646,6 +700,7 @@ impl MemorySystem {
     }
 
     fn fill_l2_only(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
+        g.mark_active(core);
         if let Some(ev) = g.l2[core].fill(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
@@ -705,8 +760,8 @@ impl MemorySystem {
         }
         // Write-invalidate: every other core's copy (shared or
         // modified) of this line is invalidated before we take it
-        // Modified.
-        for c in 0..g.l1.len() {
+        // Modified. Only active cores can hold a copy.
+        for &c in &g.active_cores {
             if c != core {
                 g.l1[c].invalidate(addr);
                 g.l2[c].invalidate(addr);
@@ -1378,6 +1433,25 @@ mod coherence_tests {
     }
 
     #[test]
+    fn store_invalidates_a_core_refilled_after_invalidate_caches() {
+        let m = mem();
+        let a = m.alloc(NodeId(0), 4096).unwrap();
+        // Core 39 caches the line; invalidating the caches empties the
+        // active-core set, and the reload must register core 39 again.
+        m.load(39, a, SimTime::ZERO);
+        m.invalidate_caches();
+        m.load(39, a, SimTime::from_ns(1_000));
+        assert_eq!(
+            m.load(39, a, SimTime::from_ns(1_200)).served,
+            ServiceLevel::L1
+        );
+        // Core 0's store must reach core 39's copy.
+        m.store(0, a, SimTime::from_ns(1_400));
+        let r = m.load(39, a, SimTime::from_ns(1_600));
+        assert_eq!(r.served, ServiceLevel::SnoopHitm);
+    }
+
+    #[test]
     fn ping_pong_between_writers() {
         let m = mem();
         let a = m.alloc(NodeId(0), 4096).unwrap();
@@ -1391,6 +1465,98 @@ mod coherence_tests {
             now += r.stall;
             assert_eq!(r.served, ServiceLevel::SnoopHitm, "round {i}");
             now += Duration::from_ns(100);
+        }
+    }
+}
+
+#[cfg(test)]
+mod active_core_tests {
+    use super::*;
+    use crate::config::CacheGeometry;
+    use proptest::prelude::*;
+    use quartz_platform::{Architecture, PlatformConfig};
+
+    /// The cores the sequences run on: both sockets, first and last.
+    const CORES: [usize; 4] = [0, 7, 21, 39];
+    /// Lines per node the sequences touch.
+    const LINES: u64 = 96;
+
+    /// A full 40-core IvyBridge with tiny caches, so short sequences
+    /// evict through every fill path (dirty L1 victims into L2, L2
+    /// victims into L3, dirty L3 victims to DRAM).
+    fn machine() -> (MemorySystem, [Addr; 2]) {
+        let platform =
+            Platform::new(PlatformConfig::new(Architecture::IvyBridge).with_perfect_counters());
+        assert_eq!(platform.topology().num_cores(), 40);
+        let config = MemSimConfig {
+            l1: CacheGeometry::new(512, 2),
+            l2: CacheGeometry::new(2048, 4),
+            l3: CacheGeometry::new(8192, 8),
+            ..MemSimConfig::default()
+        };
+        let m = MemorySystem::new(platform, config);
+        let bases = [
+            m.alloc(NodeId(0), LINES * LINE_SIZE).unwrap(),
+            m.alloc(NodeId(1), LINES * LINE_SIZE).unwrap(),
+        ];
+        (m, bases)
+    }
+
+    /// The active-core set is exactly `expected`, and every core
+    /// outside it holds no valid L1 or L2 line.
+    fn check(m: &MemorySystem, expected: &[bool]) {
+        let g = m.inner.lock();
+        assert_eq!(g.is_active, expected, "active flags");
+        let mut listed = g.active_cores.clone();
+        listed.sort_unstable();
+        listed.dedup();
+        assert_eq!(listed.len(), g.active_cores.len(), "no core listed twice");
+        let flagged: Vec<usize> = (0..expected.len()).filter(|&c| expected[c]).collect();
+        assert_eq!(listed, flagged, "list and flags agree");
+        for c in (0..g.l1.len()).filter(|&c| !g.is_active[c]) {
+            assert_eq!(g.l1[c].occupancy(), 0, "inactive core {c} holds L1 lines");
+            assert_eq!(g.l2[c].occupancy(), 0, "inactive core {c} holds L2 lines");
+        }
+    }
+
+    proptest! {
+        /// For any sequence of loads, batches, stores, streaming
+        /// stores, flushes and cache invalidations, the active-core set
+        /// holds exactly the cores that loaded or stored since the last
+        /// invalidation, and no other core's private caches hold a
+        /// line — the invariant that lets a store write-invalidate only
+        /// the active cores.
+        #[test]
+        fn inactive_cores_hold_no_private_lines(
+            ops in proptest::collection::vec((0u8..7, 0usize..4, 0u64..LINES, 0usize..2), 1..160),
+        ) {
+            let (m, bases) = machine();
+            let line = |node: usize, l: u64| bases[node].offset_by(l * LINE_SIZE);
+            let mut expected = vec![false; 40];
+            let mut now = SimTime::ZERO;
+            for &(op, core, l, node) in &ops {
+                let core = CORES[core];
+                let a = line(node, l);
+                let d = match op {
+                    0 => m.load(core, a, now).stall,
+                    1 => m.load_batch(core, &[a, line(1 - node, (l * 7 + 1) % LINES)], now),
+                    2 => m.store(core, a, now),
+                    3 => m.store_stream(core, a, now),
+                    4 => m.flush(core, a, now),
+                    5 => m.flush_opt(core, a, now).0,
+                    _ => {
+                        m.invalidate_caches();
+                        Duration::ZERO
+                    }
+                };
+                match op {
+                    0..=2 => expected[core] = true,
+                    6 => expected.fill(false),
+                    _ => {}
+                }
+                check(&m, &expected);
+                now += d + Duration::from_ns(1);
+            }
         }
     }
 }

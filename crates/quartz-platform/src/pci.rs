@@ -6,9 +6,7 @@
 //! them on behalf of the user-mode library. We model one IMC device per
 //! socket with word-addressed registers.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::error::PlatformError;
 use crate::faults::FaultCell;
@@ -35,6 +33,27 @@ pub const THRT_PWR_DIMM_WRITE_BASE: u16 = 0x1b0;
 /// Number of DIMM throttle channels per socket (`THRT_PWR_DIMM_[0:2]`).
 pub const DIMM_CHANNELS: usize = 3;
 
+/// Base offsets of the register banks, in register-file order: the
+/// combined throttle first, so channel `ch` of a socket is at index `ch`.
+const BANKS: [u16; 3] = [
+    THRT_PWR_DIMM_BASE,
+    THRT_PWR_DIMM_READ_BASE,
+    THRT_PWR_DIMM_WRITE_BASE,
+];
+
+/// Registers per socket in the register file.
+const REGS_PER_SOCKET: usize = BANKS.len() * DIMM_CHANNELS;
+
+/// Decodes a config-space offset to its index within one socket's
+/// registers, or `None` if no register lives there (including offsets
+/// inside a bank that are not 4-byte aligned).
+fn decode(offset: u16) -> Option<usize> {
+    BANKS.iter().enumerate().find_map(|(bank, &base)| {
+        let rel = usize::from(offset.checked_sub(base)?);
+        (rel % 4 == 0 && rel / 4 < DIMM_CHANNELS).then_some(bank * DIMM_CHANNELS + rel / 4)
+    })
+}
+
 /// Capability token proving the caller went through the kernel module.
 ///
 /// Only [`crate::kmod::KernelModule`] can mint one, so user-mode code
@@ -44,10 +63,15 @@ pub const DIMM_CHANNELS: usize = 3;
 pub struct PrivilegeToken(pub(crate) ());
 
 /// The PCI configuration space of every socket's IMC device.
+///
+/// The registers are a fixed file of atomics, `REGS_PER_SOCKET` per
+/// socket, so the memory model reads a throttle value on every DRAM
+/// transfer without a lock. Each register is an independent word that
+/// publishes no other data, so relaxed ordering is enough.
 #[derive(Debug)]
 pub struct PciConfigSpace {
     sockets: usize,
-    regs: Mutex<HashMap<(usize, u16), u32>>,
+    regs: Box<[AtomicU32]>,
     faults: FaultCell,
 }
 
@@ -55,18 +79,11 @@ impl PciConfigSpace {
     /// Creates config space for `sockets` IMC devices with registers at
     /// their reset values (throttle fully open: `0xFFF`).
     pub fn new(sockets: usize) -> Self {
-        let mut regs = HashMap::new();
-        for s in 0..sockets {
-            for ch in 0..DIMM_CHANNELS {
-                let stride = (ch * 4) as u16;
-                regs.insert((s, THRT_PWR_DIMM_BASE + stride), 0xFFF);
-                regs.insert((s, THRT_PWR_DIMM_READ_BASE + stride), 0xFFF);
-                regs.insert((s, THRT_PWR_DIMM_WRITE_BASE + stride), 0xFFF);
-            }
-        }
         PciConfigSpace {
             sockets,
-            regs: Mutex::new(regs),
+            regs: (0..sockets * REGS_PER_SOCKET)
+                .map(|_| AtomicU32::new(0xFFF))
+                .collect(),
             faults: FaultCell::new(),
         }
     }
@@ -87,29 +104,35 @@ impl PciConfigSpace {
         self.sockets
     }
 
+    /// The register at `(socket, offset)`.
+    fn reg(&self, socket: SocketId, offset: u16) -> Result<&AtomicU32, PlatformError> {
+        match decode(offset) {
+            Some(r) if socket.0 < self.sockets => Ok(&self.regs[socket.0 * REGS_PER_SOCKET + r]),
+            _ => Err(PlatformError::BadPciAddress { offset }),
+        }
+    }
+
     /// Privileged 32-bit config read.
     ///
     /// # Errors
     ///
-    /// Fails if the offset does not decode to a register.
+    /// Fails if the socket does not exist or the offset does not decode
+    /// to a register.
     pub fn read32(
         &self,
         _token: &PrivilegeToken,
         socket: SocketId,
         offset: u16,
     ) -> Result<u32, PlatformError> {
-        self.regs
-            .lock()
-            .get(&(socket.0, offset))
-            .copied()
-            .ok_or(PlatformError::BadPciAddress { offset })
+        Ok(self.reg(socket, offset)?.load(Ordering::Relaxed))
     }
 
     /// Privileged 32-bit config write.
     ///
     /// # Errors
     ///
-    /// Fails if the offset does not decode to a register.
+    /// Fails if the socket does not exist or the offset does not decode
+    /// to a register.
     pub fn write32(
         &self,
         _token: &PrivilegeToken,
@@ -117,21 +140,18 @@ impl PciConfigSpace {
         offset: u16,
         value: u32,
     ) -> Result<(), PlatformError> {
-        let mut regs = self.regs.lock();
-        match regs.get_mut(&(socket.0, offset)) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(PlatformError::BadPciAddress { offset }),
-        }
+        self.reg(socket, offset)?.store(value, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Unprivileged snapshot of a throttle register, used by the memory
     /// model (the hardware side) to apply throttling.
+    #[inline]
     pub(crate) fn throttle_value(&self, socket: SocketId, channel: usize) -> Option<u32> {
-        let offset = THRT_PWR_DIMM_BASE + (channel * 4) as u16;
-        self.regs.lock().get(&(socket.0, offset)).copied()
+        if socket.0 >= self.sockets || channel >= DIMM_CHANNELS {
+            return None;
+        }
+        Some(self.regs[socket.0 * REGS_PER_SOCKET + channel].load(Ordering::Relaxed))
     }
 }
 
@@ -170,11 +190,95 @@ mod tests {
     fn bad_offset_rejected() {
         let pci = PciConfigSpace::new(1);
         let t = token();
-        assert!(matches!(
-            pci.read32(&t, SocketId(0), 0x42),
-            Err(PlatformError::BadPciAddress { offset: 0x42 })
-        ));
-        assert!(pci.write32(&t, SocketId(0), 0x42, 1).is_err());
+        let bad = [
+            0x42,
+            // Misaligned inside each bank.
+            THRT_PWR_DIMM_BASE + 1,
+            THRT_PWR_DIMM_BASE + 6,
+            THRT_PWR_DIMM_READ_BASE + 3,
+            THRT_PWR_DIMM_WRITE_BASE + 2,
+            // One word before and one past each bank.
+            THRT_PWR_DIMM_BASE - 4,
+            THRT_PWR_DIMM_BASE + 4 * DIMM_CHANNELS as u16,
+            THRT_PWR_DIMM_READ_BASE + 4 * DIMM_CHANNELS as u16,
+            THRT_PWR_DIMM_WRITE_BASE + 4 * DIMM_CHANNELS as u16,
+            0,
+            u16::MAX,
+        ];
+        for offset in bad {
+            assert!(
+                matches!(
+                    pci.read32(&t, SocketId(0), offset),
+                    Err(PlatformError::BadPciAddress { offset: o }) if o == offset
+                ),
+                "read {offset:#x}"
+            );
+            assert!(
+                matches!(
+                    pci.write32(&t, SocketId(0), offset, 1),
+                    Err(PlatformError::BadPciAddress { offset: o }) if o == offset
+                ),
+                "write {offset:#x}"
+            );
+        }
+        // Every real register still holds its reset value.
+        for base in BANKS {
+            for ch in 0..DIMM_CHANNELS as u16 {
+                assert_eq!(pci.read32(&t, SocketId(0), base + 4 * ch).unwrap(), 0xFFF);
+            }
+        }
+    }
+
+    #[test]
+    fn missing_socket_or_channel_rejected() {
+        let pci = PciConfigSpace::new(2);
+        let t = token();
+        for socket in [SocketId(2), SocketId(usize::MAX)] {
+            assert!(matches!(
+                pci.read32(&t, socket, THRT_PWR_DIMM_BASE),
+                Err(PlatformError::BadPciAddress {
+                    offset: THRT_PWR_DIMM_BASE
+                })
+            ));
+            assert!(matches!(
+                pci.write32(&t, socket, THRT_PWR_DIMM_BASE, 1),
+                Err(PlatformError::BadPciAddress { .. })
+            ));
+            assert_eq!(pci.throttle_value(socket, 0), None);
+        }
+        // The failed writes landed nowhere.
+        assert_eq!(pci.throttle_value(SocketId(1), 0), Some(0xFFF));
+        assert_eq!(pci.throttle_value(SocketId(0), DIMM_CHANNELS), None);
+        assert_eq!(pci.throttle_value(SocketId(0), usize::MAX), None);
+    }
+
+    #[test]
+    fn every_register_is_distinct() {
+        let pci = PciConfigSpace::new(2);
+        let t = token();
+        let mut v = 0;
+        for s in 0..2 {
+            for base in BANKS {
+                for ch in 0..DIMM_CHANNELS as u16 {
+                    v += 1;
+                    pci.write32(&t, SocketId(s), base + 4 * ch, v).unwrap();
+                }
+            }
+        }
+        let mut v = 0;
+        for s in 0..2 {
+            for base in BANKS {
+                for ch in 0..DIMM_CHANNELS as u16 {
+                    v += 1;
+                    assert_eq!(pci.read32(&t, SocketId(s), base + 4 * ch).unwrap(), v);
+                }
+            }
+            // The combined bank is what the memory model reads.
+            for ch in 0..DIMM_CHANNELS {
+                let expect = 1 + (s * REGS_PER_SOCKET + ch) as u32;
+                assert_eq!(pci.throttle_value(SocketId(s), ch), Some(expect));
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,7 @@ impl ThermalControl {
 
     /// The raw register value currently programmed (unprivileged read,
     /// used by the hardware-side bandwidth model).
+    #[inline]
     pub fn throttle_value(&self, socket: SocketId, channel: usize) -> u32 {
         self.pci
             .throttle_value(socket, channel)
@@ -92,6 +93,7 @@ impl ThermalControl {
 
     /// Fraction of peak channel bandwidth currently permitted, linear in
     /// the register value: `value / 0xFFF`.
+    #[inline]
     pub fn throttle_fraction(&self, socket: SocketId, channel: usize) -> f64 {
         self.throttle_value(socket, channel) as f64 / THROTTLE_MAX as f64
     }
