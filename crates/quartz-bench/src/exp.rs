@@ -11,6 +11,7 @@
 use std::panic::panic_any;
 
 use parking_lot::Mutex;
+use quartz::json::Json;
 
 use crate::grid::{run_grid_checked, PointFailure, PointTiming, Pt};
 use crate::report::Table;
@@ -170,10 +171,9 @@ pub struct ExpReport {
     /// Free-form commentary lines printed after the tables (paper
     /// comparisons, findings).
     pub notes: Vec<String>,
-    /// Labelled emulator statistics exported as JSON fragments
-    /// (`QuartzStats::to_json*` output), embedded in the experiment's
-    /// JSON row file.
-    pub stats: Vec<(String, String)>,
+    /// Labelled emulator statistics (`QuartzStats::to_json` output),
+    /// embedded in the experiment's JSON row file.
+    pub stats: Vec<(String, Json)>,
     /// Benchmark files to write verbatim under the output directory:
     /// `(file name, contents)`. The `BENCH_*.json` throughput-trajectory
     /// channel — unlike tables, these are free-schema documents tracked
@@ -202,8 +202,8 @@ impl ExpReport {
         self
     }
 
-    /// Adds a labelled emulator-statistics JSON fragment.
-    pub fn stat(&mut self, label: impl Into<String>, json: String) -> &mut Self {
+    /// Adds labelled emulator statistics.
+    pub fn stat(&mut self, label: impl Into<String>, json: Json) -> &mut Self {
         self.stats.push((label.into(), json));
         self
     }
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn report_builders() {
         let mut r = ExpReport::with_table(Table::new("T", &["a"]));
-        r.note("n").stat("s", "{}".into());
+        r.note("n").stat("s", Json::obj(vec![]));
         assert_eq!(r.tables.len(), 1);
         assert_eq!(r.notes, vec!["n".to_string()]);
         assert_eq!(r.stats[0].0, "s");

@@ -25,17 +25,17 @@
 
 use std::sync::Arc;
 
+use quartz::json::Json;
 use quartz::{NvmTarget, Quartz, QuartzConfig};
+use quartz_platform::seed::Rng;
 use quartz_platform::{Architecture, NodeId};
 use quartz_threadsim::ThreadCtx;
-use quartz_workloads::chain::Rng;
 use quartz_workloads::kvstore::{KvConfig, KvStore};
 use quartz_workloads::stream::{run_stream_triad, StreamConfig};
 
 use super::validation_epoch;
 use crate::exp::{ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
-use crate::json::Json;
 use crate::report::{f, Table};
 use crate::{run_workload, signed_error_pct, MachineSpec};
 
@@ -256,7 +256,7 @@ impl Experiment for AsymmetryAblation {
                 ("kind", Json::str(kind)),
                 ("sym_ns", Json::Num(sym.elapsed_ns.round())),
                 ("asym_ns", Json::Num(asym.elapsed_ns.round())),
-                ("delta_pct", Json::Num((delta_pct * 1e3).round() / 1e3)),
+                ("delta_pct", Json::num3(delta_pct)),
                 ("write_term_ns_sym", Json::Num(sym.write_term_ns.round())),
                 ("write_term_ns_asym", Json::Num(asym.write_term_ns.round())),
             ]));

@@ -442,7 +442,7 @@ mod tests {
         assert!(bad.first_detection != "-");
         assert!(bad.violated_claims > 0, "oracle must flag the lie");
         // The stats satellite: exported JSON carries the line states.
-        assert!(bad.stats.to_json().contains("\"lines_durable\":"));
+        assert!(bad.stats.to_json().render().contains("\"lines_durable\":"));
     }
 
     #[test]

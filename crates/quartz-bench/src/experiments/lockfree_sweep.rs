@@ -14,11 +14,11 @@
 //! (no false negatives). Pure virtual-time quantities, fully
 //! deterministic — the sweep is part of the byte-identity contract.
 
+use quartz::json::Json;
 use quartz_lockfree::{run_sweep, LfVariant, Structure, SweepOutcome, SweepSpec};
 
 use crate::exp::{ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
-use crate::json::Json;
 use crate::report::Table;
 
 /// One grid point: which structure, which durability variant.
@@ -145,10 +145,10 @@ impl Experiment for LockfreeSweep {
                     "expect",
                     Json::str(if expect_recover { "recover" } else { "detect" }),
                 ),
-                ("points", Json::Int(r.out.points as i64)),
-                ("cas_seams", Json::Int(r.out.cas_seams as i64)),
-                ("failing", Json::Int(r.out.failing as i64)),
-                ("popped", Json::Int(r.out.popped as i64)),
+                ("points", Json::Int(r.out.points as u64)),
+                ("cas_seams", Json::Int(r.out.cas_seams as u64)),
+                ("failing", Json::Int(r.out.failing as u64)),
+                ("popped", Json::Int(r.out.popped as u64)),
                 ("caught", Json::Bool(r.out.caught())),
             ]));
         }
@@ -169,16 +169,16 @@ impl Experiment for LockfreeSweep {
             ("schema", Json::Int(1)),
             ("bench", Json::str("lockfree_sweep")),
             ("quick", Json::Bool(ctx.quick())),
-            ("threads", Json::Int(threads as i64)),
-            ("pushes", Json::Int(pushes as i64)),
+            ("threads", Json::Int(threads as u64)),
+            ("pushes", Json::Int(pushes as u64)),
             ("rows", Json::Arr(bench_rows)),
             (
                 "verdict",
                 Json::obj(vec![
-                    ("false_negatives", Json::Int(false_negatives as i64)),
-                    ("false_positives", Json::Int(false_positives as i64)),
-                    ("points", Json::Int(total_points as i64)),
-                    ("cas_seams", Json::Int(total_seams as i64)),
+                    ("false_negatives", Json::Int(false_negatives as u64)),
+                    ("false_positives", Json::Int(false_positives as u64)),
+                    ("points", Json::Int(total_points as u64)),
+                    ("cas_seams", Json::Int(total_seams as u64)),
                 ]),
             ),
         ]);
@@ -225,6 +225,11 @@ mod tests {
         );
         assert!(bad.out.caught(), "seeded bug must be flagged");
         // The stats satellite: exported JSON carries the atomics seams.
-        assert!(bad.out.stats.to_json().contains("\"cas_handoffs\":"));
+        assert!(bad
+            .out
+            .stats
+            .to_json()
+            .render()
+            .contains("\"cas_handoffs\":"));
     }
 }

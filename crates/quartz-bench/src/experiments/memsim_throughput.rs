@@ -27,13 +27,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use quartz::json::Json;
 use quartz_memsim::{CacheGeometry, MemSimConfig, MemStats, MemorySystem, Trace};
 use quartz_platform::time::SimTime;
 use quartz_platform::{Architecture, NodeId, Platform, PlatformConfig};
 
 use crate::exp::{ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
-use crate::json::Json;
 use crate::report::{f, Table};
 use crate::run_workload;
 
@@ -437,8 +437,8 @@ fn bench_json(
                     .map(|r| {
                         Json::obj(vec![
                             ("mix", Json::str(r.name)),
-                            ("accesses", Json::Int(r.accesses as i64)),
-                            ("wall_ms", Json::Num(round3(r.wall_ms))),
+                            ("accesses", Json::Int(r.accesses)),
+                            ("wall_ms", Json::num3(r.wall_ms)),
                             ("accesses_per_sec", Json::Num(r.per_sec.round())),
                         ])
                     })
@@ -452,17 +452,13 @@ fn bench_json(
                     "configs",
                     Json::Arr(sweep.iter().map(|r| Json::str(r.name)).collect()),
                 ),
-                ("trace_events", Json::Int(trace_events as i64)),
-                ("live_ms", Json::Num(round3(live_total))),
-                ("replay_ms", Json::Num(round3(replay_total))),
-                ("speedup", Json::Num(round3(speedup))),
+                ("trace_events", Json::Int(trace_events as u64)),
+                ("live_ms", Json::num3(live_total)),
+                ("replay_ms", Json::num3(replay_total)),
+                ("speedup", Json::num3(speedup)),
                 ("equivalent", Json::Bool(equivalent)),
             ]),
         ),
     ]);
     obj.render() + "\n"
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1e3).round() / 1e3
 }

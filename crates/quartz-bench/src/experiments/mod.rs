@@ -22,7 +22,6 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod fig8;
-pub mod kv_service;
 pub mod lockfree_sweep;
 pub mod memsim_throughput;
 pub mod overhead;

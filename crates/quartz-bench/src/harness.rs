@@ -19,8 +19,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
 
+use quartz::json::Json;
+
 use crate::exp::{ExpCtx, ExpFailure, Experiment};
-use crate::json::Json;
 use crate::manifest::{ExperimentRecord, Manifest, RunStatus};
 
 /// How a `repro` run should execute.
@@ -143,7 +144,7 @@ pub fn run_experiments(
         record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record.points = ctx.take_timings();
 
-        let report = match outcome {
+        let mut report = match outcome {
             Ok(report) => report,
             Err(status) => {
                 if let RunStatus::Failed { message, point } = &status {
@@ -200,16 +201,7 @@ pub fn run_experiments(
             ),
         ]);
         if !report.stats.is_empty() {
-            row.push(
-                "quartz_stats",
-                Json::Obj(
-                    report
-                        .stats
-                        .iter()
-                        .map(|(label, json)| (label.clone(), Json::Raw(json.clone())))
-                        .collect(),
-                ),
-            );
+            row.push("quartz_stats", Json::Obj(std::mem::take(&mut report.stats)));
         }
         std::fs::create_dir_all(&opts.out_dir)?;
         std::fs::write(
@@ -268,7 +260,8 @@ mod tests {
                 t.row(&[v.to_string()]);
             }
             let mut r = ExpReport::with_table(t);
-            r.note("a note").stat("run", "{\"k\":1}".into());
+            r.note("a note")
+                .stat("run", Json::obj(vec![("k", Json::Int(1))]));
             r
         }
     }

@@ -15,8 +15,9 @@
 //! * [`exp`] — the [`exp::Experiment`] trait and execution context;
 //! * [`registry`] — the experiment inventory behind `repro --list`;
 //! * [`grid`] — the deterministic parallel grid runner (`--jobs`);
-//! * [`report`] / [`json`] / [`manifest`] — console tables, CSV,
-//!   per-experiment JSON rows, and `results/manifest.json`;
+//! * [`report`] / [`manifest`] — console tables, CSV, per-experiment
+//!   JSON rows (written with [`quartz::json`]), and
+//!   `results/manifest.json`;
 //! * [`harness`] — the driver gluing the layers together;
 //! * [`experiments`] — the reproduced tables/figures/studies.
 
@@ -35,7 +36,6 @@ pub mod exp;
 pub mod experiments;
 pub mod grid;
 pub mod harness;
-pub mod json;
 pub mod manifest;
 pub mod registry;
 pub mod report;
@@ -103,8 +103,8 @@ impl MachineSpec {
 ///
 /// Most experiments go through [`run_workload`]; use this directly when
 /// the workload needs the [`Engine`] *before* the root thread runs —
-/// e.g. to install channels or open-loop event sources (the `kv_service`
-/// experiment).
+/// e.g. to install channels or open-loop event sources (the
+/// `overload_matrix` experiment's KV service).
 ///
 /// # Panics
 ///

@@ -11,9 +11,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use quartz::json::Json;
+
 use crate::exp::Experiment;
 use crate::grid::PointTiming;
-use crate::json::Json;
 use crate::report::{f, Table};
 
 /// Outcome of one executed experiment.
@@ -97,10 +98,10 @@ impl ExperimentRecord {
             ("name", Json::str(self.name.clone())),
             ("paper_ref", Json::str(self.paper_ref.clone())),
             ("deterministic", Json::Bool(self.deterministic)),
-            ("wall_ms", Json::Num(round3(self.wall_ms))),
+            ("wall_ms", Json::num3(self.wall_ms)),
             (
                 "seeds",
-                Json::Arr(self.seeds().iter().map(|&s| Json::Int(s as i64)).collect()),
+                Json::Arr(self.seeds().iter().map(|&s| Json::Int(s)).collect()),
             ),
             (
                 "points",
@@ -110,8 +111,8 @@ impl ExperimentRecord {
                         .map(|p| {
                             Json::obj(vec![
                                 ("label", Json::str(p.label.clone())),
-                                ("seed", Json::Int(p.seed as i64)),
-                                ("wall_ms", Json::Num(round3(p.wall_ms))),
+                                ("seed", Json::Int(p.seed)),
+                                ("wall_ms", Json::num3(p.wall_ms)),
                             ])
                         })
                         .collect(),
@@ -188,14 +189,17 @@ impl Manifest {
         self.experiments.iter().any(|e| e.status.is_failed())
     }
 
-    /// The manifest as a JSON value.
+    /// The manifest as a JSON value. `schema` versions the whole run's
+    /// output format, since the manifest indexes every file a run
+    /// writes. Schema 2: exported `quartz_stats` carry every field,
+    /// zeros included.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::Int(1)),
+            ("schema", Json::Int(2)),
             ("quick", Json::Bool(self.quick)),
-            ("jobs", Json::Int(self.jobs as i64)),
-            ("host_parallelism", Json::Int(self.host_parallelism as i64)),
-            ("total_wall_ms", Json::Num(round3(self.total_wall_ms()))),
+            ("jobs", Json::Int(self.jobs as u64)),
+            ("host_parallelism", Json::Int(self.host_parallelism as u64)),
+            ("total_wall_ms", Json::num3(self.total_wall_ms())),
             (
                 "experiments",
                 Json::Arr(self.experiments.iter().map(|e| e.to_json()).collect()),
@@ -240,10 +244,6 @@ impl Manifest {
         }
         t
     }
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1e3).round() / 1e3
 }
 
 #[cfg(test)]
@@ -291,7 +291,7 @@ mod tests {
         m.experiments.push(record("fig8", 10.0));
         let j = m.to_json().render();
         for key in [
-            "\"schema\":1",
+            "\"schema\":2",
             "\"quick\":true",
             "\"jobs\":4",
             "\"host_parallelism\":",

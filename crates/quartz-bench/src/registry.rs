@@ -10,8 +10,8 @@
 use crate::exp::Experiment;
 use crate::experiments::{
     ablations, asymmetry, contention, crash, extensions, failure_modes, faults, fig11, fig12,
-    fig13, fig14, fig15, fig16, fig8, kv_service, lockfree_sweep, memsim_throughput, overhead,
-    overload, pagerank_validation, table1, table2,
+    fig13, fig14, fig15, fig16, fig8, lockfree_sweep, memsim_throughput, overhead, overload,
+    pagerank_validation, table1, table2,
 };
 
 /// Every registered experiment, in canonical `repro all` order.
@@ -41,7 +41,6 @@ static REGISTRY: &[&dyn Experiment] = &[
     &faults::FaultMatrix,
     &failure_modes::FailureModes,
     &memsim_throughput::MemsimThroughput,
-    &kv_service::KvServiceCurves,
     &overload::OverloadMatrix,
     &lockfree_sweep::LockfreeSweep,
 ];
@@ -170,7 +169,6 @@ mod tests {
             "fault_matrix",
             "failure_modes",
             "memsim_throughput",
-            "kv_service",
             "overload_matrix",
             "lockfree_sweep",
         ];

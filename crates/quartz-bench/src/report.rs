@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
+use quartz::json::Json;
 
 /// A simple column-aligned results table that can also be saved as CSV.
 #[derive(Clone, Debug, Default)]

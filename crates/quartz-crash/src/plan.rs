@@ -19,6 +19,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use quartz::{Quartz, QuartzConfig, QuartzError};
 use quartz_memsim::MemorySystem;
+use quartz_platform::seed::splitmix64;
 use quartz_platform::time::SimTime;
 use quartz_threadsim::{Engine, FanoutHooks, Hooks, ThreadCtx};
 
@@ -162,7 +163,7 @@ impl CrashPlan {
         let span = report.end_time.as_ps().max(1);
         let mut x = self.seed ^ 0x9E37_79B9_7F4A_7C15;
         for i in 0..self.random_points {
-            x = splitmix(x.wrapping_add(i as u64));
+            x = splitmix64(x.wrapping_add(i as u64));
             points.push((format!("random_{i}"), SimTime::from_ps(x % span)));
         }
 
@@ -226,13 +227,6 @@ impl CrashRun {
             })
             .collect()
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -4,19 +4,11 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use quartz_platform::seed::{splitmix64, unit_f64};
 use quartz_platform::thermal::THROTTLE_MAX;
 use quartz_platform::{CoreId, FaultInjector, Platform, SocketId, ThermalWriteFault, TimerFault};
 
 use crate::plan::{park_offset, FaultPlan};
-
-/// splitmix64 — the repo-wide seeded hash (also used by the counter
-/// fidelity model and the crash planner).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Distinct site tags so the decision streams of different seams never
 /// alias even under identical sequence numbers.
@@ -64,9 +56,7 @@ impl PlanInjector {
             return false;
         }
         let h = splitmix64(self.plan.seed ^ splitmix64(site) ^ splitmix64(seq.wrapping_add(1)));
-        // Top 53 bits -> uniform in [0, 1).
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < rate
+        unit_f64(h) < rate
     }
 }
 

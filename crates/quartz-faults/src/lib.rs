@@ -12,10 +12,11 @@
 //! installed plan.
 //!
 //! Every decision is a pure function of `(seed, seam, sequence number)`
-//! via splitmix64 — no OS entropy, no wall clock — so a faulted run is
-//! byte-identical across repeats and `--jobs` counts: the threadsim
-//! engine serializes execution (permit handoff), which makes the
-//! per-seam sequence numbers themselves deterministic.
+//! via [`quartz_platform::seed::splitmix64`] — no OS entropy, no wall
+//! clock — so a faulted run is byte-identical across repeats and
+//! `--jobs` counts: the threadsim engine serializes execution (permit
+//! handoff), which makes the per-seam sequence numbers themselves
+//! deterministic.
 //!
 //! ```
 //! use quartz_faults::{FaultClass, FaultPlan};

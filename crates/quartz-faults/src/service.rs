@@ -16,6 +16,7 @@
 //! protected cell at the same offered load) the `overload_matrix`
 //! experiment is allowed to observe.
 
+use quartz_platform::seed::{splitmix64, unit_f64};
 use quartz_platform::time::Duration;
 use quartz_workloads::kvstore::ServiceFaultInjector;
 
@@ -154,15 +155,6 @@ impl ServiceFaultClass {
     }
 }
 
-/// splitmix64 — the same finalizer the platform-side
-/// [`PlanInjector`](crate::PlanInjector) uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Site tag for response-drop decisions (disjoint from the platform
 /// injector's site space by construction — different injector,
 /// different seed stream).
@@ -197,8 +189,7 @@ impl ServicePlanInjector {
             ^ splitmix64(site)
             ^ splitmix64((worker as u64) << 32 | 0xA5A5)
             ^ splitmix64(seq.wrapping_add(1));
-        let u = (splitmix64(mix) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < rate
+        unit_f64(splitmix64(mix)) < rate
     }
 }
 

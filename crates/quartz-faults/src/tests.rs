@@ -213,7 +213,7 @@ fn storm_soak_never_panics_and_reports_faults() {
         let d = stats.degradation;
         assert!(d.total_faults() > 0, "storm must trip the seams: {d:?}");
         // The stats block serializes the degradation section.
-        let json = stats.to_json();
+        let json = stats.to_json().render();
         assert!(json.contains("\"degradation\""), "{json}");
         assert!(json.contains("\"total_faults\""), "{json}");
     }

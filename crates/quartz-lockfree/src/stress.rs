@@ -35,6 +35,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quartz_crash::CrashPlan;
+use quartz_platform::seed::splitmix64;
 
 use crate::detect::LfVariant;
 use crate::harness::{machine, nvm_config};
@@ -113,20 +114,13 @@ pub struct StressOutcome {
     pub fingerprints: Vec<u64>,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Derives per-thread fates from the seed: each thread is killed with
 /// probability 1/2, after a uniform number of completed operations,
 /// dying before or after its publication CAS with probability 1/2.
 pub fn derive_fates(seed: u64, threads: usize, pushes: usize) -> Vec<ThreadFate> {
     (0..threads)
         .map(|t| {
-            let r = splitmix(seed ^ (t as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let r = splitmix64(seed ^ (t as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
             if r & 1 == 0 {
                 ThreadFate {
                     completed: pushes,

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quartz_platform::pmu::RawEvent;
+use quartz_platform::seed::{splitmix64, unit_f64};
 use quartz_platform::time::{Duration, SimTime};
 use quartz_platform::{NodeId, Platform};
 
@@ -403,8 +404,8 @@ impl MemorySystem {
         };
         let mut ns = band.avg_ns as f64;
         if self.config.jitter {
-            let key = splitmix(self.config.seed ^ addr.0.wrapping_mul(0x9E37_79B9) ^ seq);
-            ns += band.jitter_ns() * to_unit(key);
+            let key = splitmix64(self.config.seed ^ addr.0.wrapping_mul(0x9E37_79B9) ^ seq);
+            ns += band.jitter_ns() * (2.0 * unit_f64(key) - 1.0);
         }
         (Duration::from_ns_f64(ns), local)
     }
@@ -968,18 +969,6 @@ impl std::fmt::Debug for MemorySystem {
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn to_unit(h: u64) -> f64 {
-    let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-    2.0 * frac - 1.0
 }
 
 #[cfg(test)]

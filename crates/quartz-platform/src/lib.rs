@@ -48,6 +48,7 @@ pub mod faults;
 pub mod kmod;
 pub mod pci;
 pub mod pmu;
+pub mod seed;
 pub mod thermal;
 pub mod time;
 pub mod topology;

@@ -19,22 +19,7 @@
 
 use crate::arch::ArchParams;
 use crate::pmu::events::EventKind;
-
-/// SplitMix64 — tiny, high-quality 64-bit mixer used for all deterministic
-/// pseudo-randomness on the platform.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Maps a hash to a value uniform in `[-1.0, 1.0]`.
-pub(crate) fn hash_to_unit(h: u64) -> f64 {
-    // Use 53 bits for a clean mantissa-only conversion.
-    let frac = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-    2.0 * frac - 1.0
-}
+use crate::seed::{splitmix64, unit_f64};
 
 /// Per-architecture counter read-skew model.
 ///
@@ -114,12 +99,12 @@ impl FidelityModel {
         }
         // Fixed hardware component (≈70% of the amplitude).
         let h_fixed = splitmix64(self.arch_salt ^ splitmix64(event_tag(event)));
-        let u_fixed = hash_to_unit(h_fixed);
+        let u_fixed = 2.0 * unit_f64(h_fixed) - 1.0;
         let sign = if u_fixed < 0.0 { -1.0 } else { 1.0 };
         let fixed = sign * amp * 0.7 * (0.7 + 0.3 * u_fixed.abs());
         // Run-dependent component (≈30%).
         let h_run = splitmix64(self.seed ^ splitmix64(event_tag(event).wrapping_add(0x77)));
-        let run = amp * 0.3 * hash_to_unit(h_run);
+        let run = amp * 0.3 * (2.0 * unit_f64(h_run) - 1.0);
         fixed + run
     }
 
@@ -264,13 +249,5 @@ mod tests {
             m.bias(EventKind::StoreMissLocal),
             m.bias(EventKind::L3MissLocal)
         );
-    }
-
-    #[test]
-    fn hash_to_unit_in_range() {
-        for i in 0..1000u64 {
-            let v = hash_to_unit(splitmix64(i));
-            assert!((-1.0..=1.0).contains(&v));
-        }
     }
 }

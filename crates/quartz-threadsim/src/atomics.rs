@@ -28,6 +28,7 @@
 //! on any host at any worker count.
 
 use quartz_memsim::Addr;
+use quartz_platform::seed::splitmix64;
 use quartz_platform::time::Duration;
 
 use crate::ctx::ThreadCtx;
@@ -297,13 +298,6 @@ pub(crate) fn spurious_roll(seed: u64, thread: usize, seq: u64, one_in: u64) -> 
         ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ seq.wrapping_mul(0xD1B5_4A32_D192_ED03);
     splitmix64(x).is_multiple_of(one_in)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

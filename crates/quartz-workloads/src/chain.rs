@@ -10,35 +10,8 @@
 use quartz_memsim::Addr;
 use quartz_threadsim::ThreadCtx;
 
-/// Deterministic SplitMix64 stream used for chain shuffling.
-#[derive(Clone, Debug)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        self.next_u64() % bound
-    }
-}
+/// The seeded stream chains are shuffled with.
+pub use quartz_platform::seed::Rng;
 
 /// A pointer chain over simulated memory: a random cyclic permutation of
 /// `len` cache lines.

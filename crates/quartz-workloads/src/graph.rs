@@ -7,10 +7,10 @@
 //! the scaling is recorded in EXPERIMENTS.md.
 
 use quartz_memsim::Addr;
+use quartz_platform::seed::Rng;
 use quartz_platform::NodeId;
 use quartz_threadsim::ThreadCtx;
 
-use crate::chain::Rng;
 use crate::error::WorkloadError;
 
 /// A host-side directed graph in CSR form.

@@ -74,11 +74,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quartz::{LatencyHist, Quartz};
+use quartz_platform::seed::{splitmix64, unit_f64, Rng};
 use quartz_platform::time::{Duration, SimTime};
 use quartz_platform::NodeId;
 use quartz_threadsim::{Engine, RecvTimeoutError, SimChannel, ThreadCtx};
 
-use crate::chain::Rng;
 use crate::error::WorkloadError;
 use crate::kvstore::btree::{KvConfig, KvStore};
 use crate::kvstore::driver::preload;
@@ -102,15 +102,6 @@ struct Request {
     value: u64,
 }
 
-/// splitmix64 — the repo-wide seeded hash (same discipline as
-/// `quartz-faults`' plan injector and the crash planner).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The deterministic retry backoff: attempt `attempt` of request
 /// `request` waits `base·2^attempt` plus a seeded jitter of up to
 /// `jitter` times that, i.e. the result always lies in
@@ -129,9 +120,7 @@ pub fn backoff_delay(
 ) -> Duration {
     let exp = base.as_ns_f64() * (1u64 << attempt.min(20)) as f64;
     let h = splitmix64(seed ^ splitmix64(request) ^ splitmix64(u64::from(attempt).wrapping_add(1)));
-    // Top 53 bits -> uniform in [0, 1).
-    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    Duration::from_ns_f64(exp * (1.0 + jitter.max(0.0) * u))
+    Duration::from_ns_f64(exp * (1.0 + jitter.max(0.0) * unit_f64(h)))
 }
 
 /// Virtual-time budget left before `deadline` at instant `now`.
@@ -801,7 +790,7 @@ impl KvService {
                     return;
                 }
                 let key = zipf.sample();
-                let coin = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let coin = rng.next_f64();
                 let arrival = api.fire_time();
                 let req = Request {
                     arrival,
@@ -833,7 +822,7 @@ impl KvService {
                     return;
                 }
                 // Seeded-exponential inter-arrival gap (Poisson arrivals).
-                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let u = rng.next_f64();
                 let gap_ns = (-(1.0 - u).ln() * mean_gap_ns).max(1.0);
                 api.reschedule_in(Duration::from_ns_f64(gap_ns));
             });
@@ -1262,7 +1251,7 @@ mod tests {
                 // Derive a small random scenario from the case seed —
                 // load straddling the knee, protection knobs toggled
                 // independently.
-                let h = |k: u64| super::super::splitmix64(case ^ super::super::splitmix64(k));
+                let h = |k: u64| splitmix64(case ^ splitmix64(k));
                 let connections = 2 + (h(1) % 3) as usize; // 2..=4
                 let workers = 1 + (h(2) as usize % connections.min(3));
                 let cfg = ServiceConfig {

@@ -37,6 +37,7 @@ use parking_lot::Mutex;
 use quartz::{Quartz, QuartzConfig, QuartzError};
 use quartz_crash::{CrashOutcome, CrashPlan, CrashRun, DurableImage, Pmem};
 use quartz_memsim::{Addr, MemorySystem};
+use quartz_platform::seed::splitmix64;
 use quartz_threadsim::ThreadCtx;
 
 /// Undo records kept in the circular log.
@@ -96,7 +97,7 @@ pub fn key_of(seq: u64, slots: u64) -> u64 {
 
 /// The value op `seq` writes (deterministic, never zero).
 pub fn value_of(seq: u64, seed: u64) -> u64 {
-    splitmix(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
+    splitmix64(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
 }
 
 /// The table contents after the first `count` ops.
@@ -320,13 +321,6 @@ pub fn check_undo_log(run: &CrashRun, kv: UndoLogKv, spec: &UndoLogSpec) -> Vec<
             ))
         }
     })
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! a Zipf(θ) distribution over `n` items using the standard inverse-CDF
 //! rejection-free method of Gray et al. (the same generator YCSB uses).
 
+use quartz_platform::seed::Rng;
+
 use crate::error::WorkloadError;
 
 /// A Zipf-distributed sampler over `0..n`.
@@ -14,7 +16,7 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    state: u64,
+    rng: Rng,
 }
 
 impl Zipf {
@@ -59,22 +61,13 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+            rng: Rng::new(seed),
         })
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.state;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Samples the next key.
     pub fn sample(&mut self) -> u64 {
-        let u = self.next_f64();
+        let u = self.rng.next_f64();
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;

@@ -1,15 +1,15 @@
 //! Fixed-bucket log-scaled latency histogram.
 //!
-//! Tail-latency curves (the `kv_service` experiment) need percentiles
-//! over millions of per-request latencies without storing them: a
-//! [`LatencyHist`] buckets nanosecond values on a log scale — 32 linear
-//! sub-buckets per power-of-two octave, ≤ ~3.2% relative quantization
-//! error — in a fixed-size table, so recording is O(1), memory is
-//! constant, and two histograms built on different worker threads merge
-//! by bucket-wise addition into bit-identical results regardless of
-//! merge order. All statistics derive deterministically from the bucket
-//! counts (plus exact min/max/sum side-channels), which keeps
-//! `BENCH_*.json` output byte-identical at any `--jobs` count.
+//! Tail-latency curves (the KV service cells of `overload_matrix`) need
+//! percentiles over millions of per-request latencies without storing
+//! them: a [`LatencyHist`] buckets nanosecond values on a log scale — 32
+//! linear sub-buckets per power-of-two octave, ≤ ~3.2% relative
+//! quantization error — in a fixed-size table, so recording is O(1),
+//! memory is constant, and two histograms built on different worker
+//! threads merge by bucket-wise addition into bit-identical results
+//! regardless of merge order. All statistics derive deterministically
+//! from the bucket counts (plus exact min/max/sum side-channels), which
+//! keeps `BENCH_*.json` output byte-identical at any `--jobs` count.
 
 use quartz_platform::time::Duration;
 
@@ -162,25 +162,6 @@ impl LatencyHist {
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
-
-    /// Renders the summary as a deterministic JSON object:
-    /// `{"count":…,"mean_ns":…,"min_ns":…,"p50_ns":…,"p99_ns":…,
-    /// "p999_ns":…,"max_ns":…}`. The mean is rounded to 3 decimals so
-    /// the text form is stable across platforms.
-    pub fn to_json(&self) -> String {
-        let mean = (self.mean_ns() * 1_000.0).round() / 1_000.0;
-        format!(
-            "{{\"count\":{},\"mean_ns\":{},\"min_ns\":{},\"p50_ns\":{},\
-             \"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-            self.total,
-            mean,
-            self.min_ns(),
-            self.p50(),
-            self.p99(),
-            self.p999(),
-            self.max_ns
-        )
-    }
 }
 
 #[cfg(test)]
@@ -249,19 +230,6 @@ mod tests {
         }
         assert_eq!(fwd, all);
         assert_eq!(rev, all);
-        assert_eq!(fwd.to_json(), rev.to_json());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut h = LatencyHist::new();
-        h.record_ns(100);
-        h.record_ns(200);
-        let j = h.to_json();
-        assert!(j.starts_with("{\"count\":2,\"mean_ns\":150,"), "{j}");
-        for key in ["min_ns", "p50_ns", "p99_ns", "p999_ns", "max_ns"] {
-            assert!(j.contains(&format!("\"{key}\":")), "{j}");
-        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub mod calibrate;
 pub mod config;
 pub mod error;
 pub mod hist;
+pub mod json;
 pub mod model;
 pub mod pmem;
 pub(crate) mod registry;

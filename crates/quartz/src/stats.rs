@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use quartz_platform::time::Duration;
 
+use crate::json::Json;
+
 /// Why an epoch was closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EpochReason {
@@ -91,9 +93,8 @@ pub struct ThreadStats {
     /// edges).
     pub cas_handoff_wait: Duration,
     /// Share of the computed epoch delay contributed by the asymmetric
-    /// write term (store-side Eq. 2 over `RESOURCE_STALLS:SB`). Zero —
-    /// and absent from the JSON — unless the target sets
-    /// `write_latency_ns`.
+    /// write term (store-side Eq. 2 over `RESOURCE_STALLS:SB`). Zero
+    /// unless the target sets `write_latency_ns`.
     pub write_term: Duration,
 }
 
@@ -109,71 +110,44 @@ impl ThreadStats {
             + self.epochs_exit
     }
 
-    /// Renders the per-thread accounting as a JSON object.
+    /// The per-thread accounting as a JSON object.
     ///
-    /// The encoding is hand-rolled (the workspace vendors no serde):
-    /// every field is a JSON number; virtual durations are exported as
-    /// exact integer picoseconds (`*_ps` keys). The output is
-    /// deterministic — keys in declaration order, no whitespace
-    /// variation — so structured runs can be byte-compared across hosts
-    /// and job counts.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "{{\"epochs\":{},\"epochs_monitor\":{},\"epochs_lock\":{},",
-                "\"epochs_unlock\":{},\"epochs_notify\":{},\"epochs_barrier\":{},",
-                "\"epochs_exit\":{},\"skipped_min_epoch\":{},\"injected_ps\":{},",
-                "\"overhead_ps\":{},\"carried_overhead_ps\":{},\"pflush_delay_ps\":{},",
-                "\"pflushes\":{},\"lock_wait_ns\":{},\"lock_acquisitions\":{},",
-                "\"lines_dirty\":{},\"lines_in_wpq\":{},\"lines_durable\":{}"
+    /// Every field is a JSON number, always present, in a fixed key
+    /// order; virtual durations are exported as exact integer
+    /// picoseconds (`*_ps` keys), so structured runs can be
+    /// byte-compared across hosts and job counts.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("epochs", Json::Int(self.epochs())),
+            ("epochs_monitor", Json::Int(self.epochs_monitor)),
+            ("epochs_lock", Json::Int(self.epochs_lock)),
+            ("epochs_unlock", Json::Int(self.epochs_unlock)),
+            ("epochs_notify", Json::Int(self.epochs_notify)),
+            ("epochs_barrier", Json::Int(self.epochs_barrier)),
+            ("epochs_exit", Json::Int(self.epochs_exit)),
+            ("skipped_min_epoch", Json::Int(self.skipped_min_epoch)),
+            ("injected_ps", Json::Int(self.injected.as_ps())),
+            ("overhead_ps", Json::Int(self.overhead.as_ps())),
+            (
+                "carried_overhead_ps",
+                Json::Int(self.carried_overhead.as_ps()),
             ),
-            self.epochs(),
-            self.epochs_monitor,
-            self.epochs_lock,
-            self.epochs_unlock,
-            self.epochs_notify,
-            self.epochs_barrier,
-            self.epochs_exit,
-            self.skipped_min_epoch,
-            self.injected.as_ps(),
-            self.overhead.as_ps(),
-            self.carried_overhead.as_ps(),
-            self.pflush_delay.as_ps(),
-            self.pflushes,
-            self.lock_wait_ns,
-            self.lock_acquisitions,
-            self.lines_dirty,
-            self.lines_in_wpq,
-            self.lines_durable,
-        );
-        // Atomics fields appear only when the workload touched simulated
-        // atomics, so mutex-only runs stay byte-identical to the
-        // pre-atomics schema (the same rule as the `degradation` block
-        // in [`QuartzStats::to_json_with`]).
-        if self.epochs_atomic != 0
-            || self.atomic_ops != 0
-            || self.cas_handoffs != 0
-            || !self.cas_handoff_wait.is_zero()
-        {
-            out.push_str(&format!(
-                concat!(
-                    ",\"epochs_atomic\":{},\"atomic_ops\":{},",
-                    "\"cas_handoffs\":{},\"cas_handoff_wait_ps\":{}"
-                ),
-                self.epochs_atomic,
-                self.atomic_ops,
-                self.cas_handoffs,
-                self.cas_handoff_wait.as_ps(),
-            ));
-        }
-        // Same conditional-schema rule for the asymmetric write model:
-        // symmetric runs never compute a write term and keep their
-        // pre-asymmetry JSON byte for byte.
-        if !self.write_term.is_zero() {
-            out.push_str(&format!(",\"write_term_ps\":{}", self.write_term.as_ps()));
-        }
-        out.push('}');
-        out
+            ("pflush_delay_ps", Json::Int(self.pflush_delay.as_ps())),
+            ("pflushes", Json::Int(self.pflushes)),
+            ("lock_wait_ns", Json::Int(self.lock_wait_ns)),
+            ("lock_acquisitions", Json::Int(self.lock_acquisitions)),
+            ("lines_dirty", Json::Int(self.lines_dirty)),
+            ("lines_in_wpq", Json::Int(self.lines_in_wpq)),
+            ("lines_durable", Json::Int(self.lines_durable)),
+            ("epochs_atomic", Json::Int(self.epochs_atomic)),
+            ("atomic_ops", Json::Int(self.atomic_ops)),
+            ("cas_handoffs", Json::Int(self.cas_handoffs)),
+            (
+                "cas_handoff_wait_ps",
+                Json::Int(self.cas_handoff_wait.as_ps()),
+            ),
+            ("write_term_ps", Json::Int(self.write_term.as_ps())),
+        ])
     }
 }
 
@@ -237,36 +211,31 @@ impl DegradationStats {
             + self.epoch_state_anomalies
     }
 
-    /// Renders the block as a JSON object (hand-rolled, deterministic,
-    /// keys in declaration order — see [`ThreadStats::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"total_faults\":{},\"pmu_read_faults\":{},\"pmu_read_retries\":{},",
-                "\"pmu_reads_abandoned\":{},\"counter_wraps\":{},\"stall_clamps\":{},",
-                "\"delay_clamps\":{},\"recalibrations\":{},\"thermal_write_faults\":{},",
-                "\"thermal_retries\":{},\"thermal_gave_up\":{},\"timer_drops\":{},",
-                "\"timer_deferrals\":{},\"topology_stale_reads\":{},\"topology_refreshes\":{},",
-                "\"orphan_slots_reaped\":{},\"epoch_state_anomalies\":{}}}"
+    /// The block as a JSON object (every field, in declaration order —
+    /// see [`ThreadStats::to_json`]).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("total_faults", Json::Int(self.total_faults())),
+            ("pmu_read_faults", Json::Int(self.pmu_read_faults)),
+            ("pmu_read_retries", Json::Int(self.pmu_read_retries)),
+            ("pmu_reads_abandoned", Json::Int(self.pmu_reads_abandoned)),
+            ("counter_wraps", Json::Int(self.counter_wraps)),
+            ("stall_clamps", Json::Int(self.stall_clamps)),
+            ("delay_clamps", Json::Int(self.delay_clamps)),
+            ("recalibrations", Json::Int(self.recalibrations)),
+            ("thermal_write_faults", Json::Int(self.thermal_write_faults)),
+            ("thermal_retries", Json::Int(self.thermal_retries)),
+            ("thermal_gave_up", Json::Int(self.thermal_gave_up)),
+            ("timer_drops", Json::Int(self.timer_drops)),
+            ("timer_deferrals", Json::Int(self.timer_deferrals)),
+            ("topology_stale_reads", Json::Int(self.topology_stale_reads)),
+            ("topology_refreshes", Json::Int(self.topology_refreshes)),
+            ("orphan_slots_reaped", Json::Int(self.orphan_slots_reaped)),
+            (
+                "epoch_state_anomalies",
+                Json::Int(self.epoch_state_anomalies),
             ),
-            self.total_faults(),
-            self.pmu_read_faults,
-            self.pmu_read_retries,
-            self.pmu_reads_abandoned,
-            self.counter_wraps,
-            self.stall_clamps,
-            self.delay_clamps,
-            self.recalibrations,
-            self.thermal_write_faults,
-            self.thermal_retries,
-            self.thermal_gave_up,
-            self.timer_drops,
-            self.timer_deferrals,
-            self.topology_stale_reads,
-            self.topology_refreshes,
-            self.orphan_slots_reaped,
-            self.epoch_state_anomalies,
-        )
+        ])
     }
 }
 
@@ -370,45 +339,20 @@ impl QuartzStats {
         self.totals.overhead.as_ns_f64() / injected
     }
 
-    /// Renders the aggregated statistics as a JSON object (see
-    /// [`ThreadStats::to_json`] for the encoding rules). `totals` nests
-    /// the per-thread aggregate; `per_thread`, when provided, nests one
-    /// object per registered thread in registration order — pass the
-    /// result of [`crate::Quartz::per_thread_stats`] to export the full
-    /// breakdown, or an empty slice to omit it.
-    pub fn to_json_with(&self, per_thread: &[ThreadStats]) -> String {
-        let mut out = format!(
-            "{{\"threads\":{},\"init_time_ps\":{},\"overhead_fully_amortized\":{},\"totals\":{}",
-            self.threads,
-            self.init_time.as_ps(),
-            self.overhead_fully_amortized(),
-            self.totals.to_json(),
-        );
-        // Emitted only when some degradation occurred: healthy runs stay
-        // byte-identical to the pre-fault-injection schema, and any
-        // fault-handling activity is guaranteed to surface.
-        if self.degradation != DegradationStats::default() {
-            out.push_str(",\"degradation\":");
-            out.push_str(&self.degradation.to_json());
-        }
-        if !per_thread.is_empty() {
-            out.push_str(",\"per_thread\":[");
-            for (i, t) in per_thread.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.to_json());
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
-    }
-
-    /// Renders the aggregated statistics as a JSON object without the
-    /// per-thread breakdown.
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&[])
+    /// The aggregated statistics as a JSON object: the run-level
+    /// fields, the `totals` aggregate and the `degradation` block (see
+    /// [`ThreadStats::to_json`] for the encoding rules).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("threads", Json::Int(self.threads)),
+            ("init_time_ps", Json::Int(self.init_time.as_ps())),
+            (
+                "overhead_fully_amortized",
+                Json::Bool(self.overhead_fully_amortized()),
+            ),
+            ("totals", self.totals.to_json()),
+            ("degradation", self.degradation.to_json()),
+        ])
     }
 }
 
@@ -544,7 +488,7 @@ mod tests {
             lock_acquisitions: 5,
             ..ThreadStats::default()
         };
-        let j = t.to_json();
+        let j = t.to_json().render();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"epochs\":3"));
         assert!(j.contains("\"epochs_monitor\":1"));
@@ -552,7 +496,7 @@ mod tests {
         assert!(j.contains("\"pflushes\":4"));
         assert!(j.contains("\"lock_acquisitions\":5"));
         // Deterministic encoding: same value, same bytes.
-        assert_eq!(j, t.clone().to_json());
+        assert_eq!(j, t.clone().to_json().render());
     }
 
     #[test]
@@ -562,29 +506,35 @@ mod tests {
             ..QuartzStats::default()
         };
         s.totals.epochs_exit = 2;
-        let flat = s.to_json();
-        assert!(flat.contains("\"threads\":2"));
-        assert!(flat.contains("\"totals\":{"));
-        assert!(flat.contains("\"overhead_fully_amortized\":true"));
-        assert!(!flat.contains("per_thread"));
-        let per = vec![ThreadStats::default(), ThreadStats::default()];
-        let nested = s.to_json_with(&per);
-        assert!(nested.contains("\"per_thread\":[{"));
-        assert_eq!(nested.matches("\"lock_wait_ns\"").count(), 3);
+        let j = s.to_json().render();
+        assert!(j.contains("\"threads\":2"));
+        assert!(j.contains("\"totals\":{\"epochs\":2,"));
+        assert!(j.contains("\"epochs_exit\":2"));
+        assert!(j.contains("\"overhead_fully_amortized\":true"));
     }
 
     #[test]
     fn degradation_block_appears_only_under_faults() {
         let mut s = QuartzStats::default();
-        // Healthy run: schema is byte-identical to the pre-fault era.
-        assert!(!s.to_json().contains("degradation"));
+        // Healthy run: the JSON block is present with every field 0; the
+        // Display text leaves it out.
+        let Json::Obj(fields) = s.degradation.to_json() else {
+            unreachable!("the block is an object")
+        };
+        assert_eq!(fields.len(), 17);
+        assert!(fields.iter().all(|(_, v)| *v == Json::Int(0)), "{fields:?}");
+        let Json::Obj(top) = s.to_json() else {
+            unreachable!("the stats are an object")
+        };
+        let block = ("degradation".to_string(), s.degradation.to_json());
+        assert_eq!(top.last(), Some(&block));
         assert!(!s.to_string().contains("degradation"));
         s.degradation.pmu_read_faults = 2;
         s.degradation.pmu_read_retries = 2;
         s.degradation.counter_wraps = 1;
         s.degradation.stall_clamps = 1;
         s.degradation.recalibrations = 1;
-        let j = s.to_json();
+        let j = s.to_json().render();
         assert!(j.contains("\"degradation\":{\"total_faults\":4,"));
         assert!(j.contains("\"pmu_read_retries\":2"));
         assert!(j.contains("\"counter_wraps\":1"));
@@ -595,7 +545,7 @@ mod tests {
         let mut s2 = QuartzStats::default();
         s2.degradation.thermal_retries = 3;
         assert_eq!(s2.degradation.total_faults(), 0);
-        assert!(s2.to_json().contains("\"thermal_retries\":3"));
+        assert!(s2.to_json().render().contains("\"thermal_retries\":3"));
     }
 
     #[test]
@@ -605,7 +555,7 @@ mod tests {
         s.degradation.epoch_state_anomalies = 1;
         // Anomalies are observed faults; reaped slots are actions.
         assert_eq!(s.degradation.total_faults(), 1);
-        let j = s.to_json();
+        let j = s.to_json().render();
         assert!(j.contains("\"orphan_slots_reaped\":2"), "{j}");
         assert!(j.contains("\"epoch_state_anomalies\":1"), "{j}");
         let out = s.to_string();
@@ -627,15 +577,23 @@ mod tests {
 
     #[test]
     fn atomics_fields_appear_only_when_used() {
-        // Mutex-only runs keep the pre-atomics schema byte-for-byte.
-        assert!(!ThreadStats::default().to_json().contains("atomic"));
+        // Mutex-only runs export the atomics fields as 0; the Display
+        // text leaves them out.
+        let idle = ThreadStats::default().to_json().render();
+        assert!(
+            idle.contains(concat!(
+                ",\"epochs_atomic\":0,\"atomic_ops\":0,",
+                "\"cas_handoffs\":0,\"cas_handoff_wait_ps\":0,"
+            )),
+            "{idle}"
+        );
         assert!(!QuartzStats::default().to_string().contains("atomics"));
         let mut s = QuartzStats::default();
         s.totals.epochs_atomic = 2;
         s.totals.atomic_ops = 9;
         s.totals.cas_handoffs = 3;
         s.totals.cas_handoff_wait = Duration::from_ns(70);
-        let j = s.totals.to_json();
+        let j = s.totals.to_json().render();
         assert!(j.contains("\"epochs\":2"), "{j}");
         assert!(j.contains("\"epochs_atomic\":2"), "{j}");
         assert!(j.contains("\"atomic_ops\":9"), "{j}");
@@ -648,12 +606,20 @@ mod tests {
 
     #[test]
     fn write_term_appears_only_when_asymmetric() {
-        // Symmetric runs keep the pre-asymmetry schema byte-for-byte.
-        assert!(!ThreadStats::default().to_json().contains("write_term"));
+        // Symmetric runs export a zero write term; the Display text
+        // leaves it out.
+        assert!(ThreadStats::default()
+            .to_json()
+            .render()
+            .ends_with(",\"write_term_ps\":0}"));
         assert!(!QuartzStats::default().to_string().contains("write term"));
         let mut s = QuartzStats::default();
         s.totals.write_term = Duration::from_ns(42);
-        assert!(s.totals.to_json().contains("\"write_term_ps\":42000"));
+        assert!(s
+            .totals
+            .to_json()
+            .render()
+            .ends_with(",\"write_term_ps\":42000}"));
         assert!(s.to_string().contains("write term (asym)"));
     }
 

@@ -914,9 +914,10 @@ fn asymmetric_model_charges_write_heavy_runs() {
         t_asym > 1.1 * t_sym,
         "asymmetric run must be visibly slower on write-heavy code: {t_asym} vs {t_sym}"
     );
-    // Schema: the write term surfaces in JSON only for the asymmetric run.
-    assert!(!s_sym.to_json().contains("write_term_ps"));
-    assert!(s_asym.to_json().contains("write_term_ps"));
+    // Schema: the symmetric run exports a zero write term.
+    assert!(s_sym.to_json().render().contains(",\"write_term_ps\":0}"));
+    let asym = s_asym.to_json().render();
+    assert!(asym.contains(",\"write_term_ps\":") && !asym.contains(",\"write_term_ps\":0}"));
 }
 
 #[test]

@@ -49,21 +49,45 @@ fn golden_run(name: &str, jobs: usize, dir: &Path) -> (String, Vec<(String, Vec<
     (console, files)
 }
 
-#[test]
-fn jobs_1_and_jobs_8_are_byte_identical() {
-    let base = std::env::temp_dir().join("quartz_bench_golden");
-    let (console1, files1) = golden_run("ablation_pcommit", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("ablation_pcommit", 8, &base.join("j8"));
+/// Runs a deterministic experiment quick at `--jobs 1` and `--jobs 8`
+/// under `base`, asserts the console output and every result file are
+/// byte-identical, and returns the `--jobs 1` console and files.
+fn assert_jobs_invariant(name: &str, base: &Path) -> (String, Vec<(String, Vec<u8>)>) {
+    assert!(
+        registry::find(name).expect("registered").deterministic(),
+        "{name} must advertise determinism"
+    );
+    let (console1, files1) = golden_run(name, 1, &base.join("j1"));
+    let (console8, files8) = golden_run(name, 8, &base.join("j8"));
     assert_eq!(
         console1, console8,
-        "console output must not depend on --jobs"
+        "{name}: console output must not depend on --jobs"
     );
-    assert!(!files1.is_empty(), "expected CSV + JSON row outputs");
+    assert!(
+        !files1.is_empty(),
+        "{name}: expected CSV + JSON row outputs"
+    );
     assert_eq!(files1.len(), files8.len());
     for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
         assert_eq!(n1, n8);
         assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
     }
+    (console1, files1)
+}
+
+/// The text of result file `name`.
+fn file_text(files: &[(String, Vec<u8>)], name: &str) -> String {
+    let (_, bytes) = files
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("{name} emitted"));
+    String::from_utf8(bytes.clone()).unwrap()
+}
+
+#[test]
+fn jobs_1_and_jobs_8_are_byte_identical() {
+    let base = std::env::temp_dir().join("quartz_bench_golden");
+    assert_jobs_invariant("ablation_pcommit", &base);
 }
 
 #[test]
@@ -71,25 +95,12 @@ fn crash_sweep_is_byte_identical_at_any_jobs_count() {
     // The crash-consistency sweep must uphold the determinism
     // contract: same seed => byte-identical durable-line fingerprints,
     // recovery verdicts, and JSON rows regardless of worker count.
-    assert!(
-        registry::find("crash_sweep")
-            .expect("registered")
-            .deterministic(),
-        "crash_sweep must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_crash");
-    let (console1, files1) = golden_run("crash_sweep", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("crash_sweep", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
+    let (console1, _) = assert_jobs_invariant("crash_sweep", &base);
     assert!(
         console1.contains("false_negatives=0 false_positives=0"),
         "the sweep verdict line must report a clean checker:\n{console1}"
     );
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
 }
 
 #[test]
@@ -99,16 +110,8 @@ fn fault_matrix_is_byte_identical_at_any_jobs_count() {
     // handoff engine makes the sequences themselves deterministic. The
     // experiment must therefore uphold the same byte-identity contract
     // as every virtual-time study — faults included.
-    assert!(
-        registry::find("fault_matrix")
-            .expect("registered")
-            .deterministic(),
-        "fault_matrix must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_faults");
-    let (console1, files1) = golden_run("fault_matrix", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("fault_matrix", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
+    let (console1, files1) = assert_jobs_invariant("fault_matrix", &base);
     assert!(
         console1.contains("bound_violations=0 silent_fault_classes=0"),
         "every cell must hold its declared bound and trip its seam:\n{console1}"
@@ -116,20 +119,23 @@ fn fault_matrix_is_byte_identical_at_any_jobs_count() {
     // The control row proves the A/B methodology: zero drift, zero
     // faults.
     assert!(console1.contains("memlat/none"), "{console1}");
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    // The JSON rows carry the DegradationStats block for faulted cells.
-    let json = files1
-        .iter()
-        .find(|(n, _)| n.ends_with(".json"))
-        .map(|(_, b)| String::from_utf8_lossy(b).into_owned())
-        .expect("JSON row file");
-    assert!(json.contains("\"degradation\""), "{json}");
-    assert!(json.contains("\"total_faults\""), "{json}");
+    // Every cell's stats carry the DegradationStats block; the control
+    // cell's is all-zero and the storm cell's counts its faults.
+    let json = file_text(&files1, "fault_matrix.json");
+    assert_eq!(total_faults(&json, "memlat/none"), 0, "{json}");
+    assert!(total_faults(&json, "memlat/storm") >= 1, "{json}");
+}
+
+/// The `degradation.total_faults` value in one cell's `quartz_stats`.
+fn total_faults(json: &str, cell: &str) -> u64 {
+    let needle = "\"degradation\":{\"total_faults\":";
+    let at = json
+        .find(&format!("\"{cell}\":{{"))
+        .unwrap_or_else(|| panic!("{cell} has stats"));
+    let rest = &json[at..];
+    let rest = &rest[rest.find(needle).expect("degradation block") + needle.len()..];
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+    rest[..end].parse().unwrap()
 }
 
 #[test]
@@ -139,16 +145,8 @@ fn failure_modes_is_byte_identical_and_classifies_all_modes() {
     // each with a named diagnostic, and the printed table must be
     // byte-identical at any --jobs (hang detection is host-timed but its
     // classification output is not).
-    assert!(
-        registry::find("failure_modes")
-            .expect("registered")
-            .deterministic(),
-        "failure_modes must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_failure_modes");
-    let (console1, files1) = golden_run("failure_modes", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("failure_modes", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
+    let (console1, _) = assert_jobs_invariant("failure_modes", &base);
     // Every scenario row present, classified as expected.
     for scenario in [
         "clean/control",
@@ -188,12 +186,6 @@ fn failure_modes_is_byte_identical_and_classifies_all_modes() {
     );
     // Emulator-side containment after a deadlock with Quartz attached.
     assert!(console1.contains("reaped=3 anomalies=1"), "{console1}");
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
 }
 
 #[test]
@@ -339,84 +331,29 @@ fn strip_timing_fields(json: &str) -> String {
 }
 
 #[test]
-fn kv_service_bench_file_is_byte_identical_at_any_jobs_count() {
-    // The open-loop service curves are pure virtual-time measurements,
-    // so unlike the host-timed benches the whole BENCH file — latency
-    // percentiles included — upholds the byte-identity contract.
-    let exp = registry::find("kv_service").expect("registered");
-    assert!(exp.deterministic(), "kv_service must advertise determinism");
-    let base = std::env::temp_dir().join("quartz_bench_golden_kv_service");
-    let (console1, files1) = golden_run("kv_service", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("kv_service", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_kv_service.json")
-        .expect("BENCH_kv_service.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
-    for needle in [
-        "\"schema\":2",
-        "\"bench\":\"kv_service\"",
-        "\"nvm_target\":\"optane_dcpmm\"",
-        "\"memory\":\"dram\"",
-        "\"memory\":\"optane\"",
-        "\"p999_ns\":",
-    ] {
-        assert!(bench.contains(needle), "missing {needle} in {bench}");
-    }
-    // No host-timed fields: the timing scrubber must be a no-op here.
-    assert_eq!(
-        strip_timing_fields(&bench),
-        bench,
-        "kv_service must not record host timing in its bench file"
-    );
-    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
-    assert!(
-        manifest.contains("\"benches\":[\"BENCH_kv_service.json\"]"),
-        "{manifest}"
-    );
-}
-
-#[test]
 fn overload_matrix_bench_file_is_byte_identical_at_any_jobs_count() {
     // The overload matrix layers seeded service faults, retries with
     // seeded backoff, and breaker state on top of the service scenario;
     // every one of those decisions is a pure function of the seed, so
     // the whole matrix — counters, goodput, percentiles — upholds the
     // byte-identity contract.
-    let exp = registry::find("overload_matrix").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "overload_matrix must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_overload");
-    let (console1, files1) = golden_run("overload_matrix", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("overload_matrix", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_overload.json")
-        .expect("BENCH_overload.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
+    let (_, files1) = assert_jobs_invariant("overload_matrix", &base);
+    let bench = file_text(&files1, "BENCH_overload.json");
     for needle in [
+        "\"schema\":2",
         "\"bench\":\"overload_matrix\"",
+        "\"nvm_target\":\"optane_dcpmm\"",
+        "\"memory\":\"dram\"",
+        "\"memory\":\"optane\"",
         "\"mode\":\"unprotected\"",
         "\"mode\":\"protected\"",
         "\"fault\":\"slow_worker\"",
         "\"fault\":\"stuck_worker\"",
         "\"goodput_rps\":",
+        "\"mean_ns\":",
+        "\"p999_ns\":",
+        "\"batch_factor\":",
         "\"conservation_ok\":true",
         "\"fault_bounds\":",
     ] {
@@ -431,6 +368,11 @@ fn overload_matrix_bench_file_is_byte_identical_at_any_jobs_count() {
         bench,
         "overload_matrix must not record host timing in its bench file"
     );
+    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
+    assert!(
+        manifest.contains("\"benches\":[\"BENCH_overload.json\"]"),
+        "{manifest}"
+    );
 }
 
 #[test]
@@ -440,30 +382,13 @@ fn lockfree_sweep_is_byte_identical_at_any_jobs_count() {
     // CASes included); every quantity is virtual-time, so the console
     // table, the JSON rows, and the whole BENCH file uphold the
     // byte-identity contract.
-    let exp = registry::find("lockfree_sweep").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "lockfree_sweep must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_lockfree");
-    let (console1, files1) = golden_run("lockfree_sweep", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("lockfree_sweep", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
+    let (console1, files1) = assert_jobs_invariant("lockfree_sweep", &base);
     assert!(
         console1.contains("false_negatives=0 false_positives=0"),
         "the sweep verdict line must report a clean checker:\n{console1}"
     );
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_lockfree.json")
-        .expect("BENCH_lockfree.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
+    let bench = file_text(&files1, "BENCH_lockfree.json");
     for needle in [
         "\"schema\":1",
         "\"bench\":\"lockfree_sweep\"",
@@ -495,26 +420,9 @@ fn asymmetry_ablation_is_byte_identical_at_any_jobs_count() {
     // counters, fixed seed), so the console table and the whole
     // BENCH_asymmetry.json — deltas and write terms included — uphold
     // the byte-identity contract.
-    let exp = registry::find("asymmetry_ablation").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "asymmetry_ablation must advertise determinism"
-    );
     let base = std::env::temp_dir().join("quartz_bench_golden_asymmetry");
-    let (console1, files1) = golden_run("asymmetry_ablation", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("asymmetry_ablation", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_asymmetry.json")
-        .expect("BENCH_asymmetry.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
+    let (_, files1) = assert_jobs_invariant("asymmetry_ablation", &base);
+    let bench = file_text(&files1, "BENCH_asymmetry.json");
     for needle in [
         "\"schema\":1",
         "\"bench\":\"asymmetry_ablation\"",
@@ -614,14 +522,10 @@ fn memsim_throughput_bench_file_is_deterministic_modulo_timing() {
     let base = std::env::temp_dir().join("quartz_bench_golden_memsim");
     let (_, files1) = golden_run("memsim_throughput", 1, &base.join("j1"));
     let (_, files8) = golden_run("memsim_throughput", 8, &base.join("j8"));
-    let bench_of = |files: &[(String, Vec<u8>)]| -> String {
-        let (_, bytes) = files
-            .iter()
-            .find(|(n, _)| n == "BENCH_memsim.json")
-            .expect("BENCH_memsim.json emitted");
-        String::from_utf8(bytes.clone()).unwrap()
-    };
-    let (b1, b8) = (bench_of(&files1), bench_of(&files8));
+    let (b1, b8) = (
+        file_text(&files1, "BENCH_memsim.json"),
+        file_text(&files8, "BENCH_memsim.json"),
+    );
     for b in [&b1, &b8] {
         for needle in [
             "\"schema\":1",
