@@ -2,7 +2,6 @@
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
@@ -20,6 +19,7 @@ use crate::engine::{
     ThreadId, TimedWait, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
 };
 use crate::failure::SimFailure;
+use crate::permit::Permit;
 use crate::{AtomicId, BarrierId, CondId, MutexId, SimAtomicPtr, SimAtomicU64};
 
 /// "Infinitely" far in the future (no yield deadline).
@@ -38,7 +38,7 @@ pub struct ThreadCtx {
     deadline: SimTime,
     next_timer: SimTime,
     pending: Arc<AtomicBool>,
-    permit_rx: Receiver<()>,
+    permit: Arc<Permit>,
     in_hook: bool,
     /// Wait time that absorbs spin delay: a POSIX signal interrupts a
     /// blocked `pthread_mutex_lock`, so a delay injected by the signal
@@ -58,7 +58,7 @@ impl ThreadCtx {
         id: ThreadId,
         core: usize,
         pending: Arc<AtomicBool>,
-        permit_rx: Receiver<()>,
+        permit: Arc<Permit>,
     ) -> Self {
         ThreadCtx {
             shared,
@@ -68,7 +68,7 @@ impl ThreadCtx {
             deadline: FAR_FUTURE,
             next_timer: FAR_FUTURE,
             pending,
-            permit_rx,
+            permit,
             in_hook: false,
             spin_credit: Duration::ZERO,
             cas_weak_seq: 0,
@@ -135,9 +135,7 @@ impl ThreadCtx {
     /// Parks this thread until the scheduler hands control back.
     fn park(&mut self, st: MutexGuard<'_, SchedState>) {
         drop(st);
-        if self.permit_rx.recv().is_err() {
-            panic_any(ShutdownSignal);
-        }
+        self.permit.wait();
         self.resume_bookkeeping();
     }
 
@@ -235,21 +233,7 @@ impl ThreadCtx {
                 self.deadline = c + shared.quantum;
             }
             Some((i, _)) => {
-                if st.threads[i].permit.send(()).is_err() {
-                    // Host-side engine fault (a runnable thread's
-                    // permit channel closed): contain it as a typed
-                    // failure and unwind ourselves instead of
-                    // panicking with the scheduler lock held.
-                    crate::engine::fail(
-                        &shared,
-                        &mut st,
-                        crate::failure::SimFailure::SchedulerLost {
-                            detail: format!("permit channel to runnable thread t{i} closed"),
-                        },
-                    );
-                    drop(st);
-                    panic_any(ShutdownSignal);
-                }
+                st.threads[i].permit.grant();
                 self.park(st);
             }
         }
@@ -494,7 +478,12 @@ impl ThreadCtx {
         id
     }
 
-    /// Waits for `thread` to finish.
+    /// Waits for `thread` to finish, then reaps its host OS thread.
+    ///
+    /// Reaping keeps host threads exiting in simulated order: a root
+    /// thread never exits before the workers it joined, so glibc's
+    /// arena free list hands the next run's root the root's own large
+    /// arena rather than a worker's small one (DESIGN.md §19).
     pub fn join(&mut self, thread: ThreadId) {
         self.op_boundary();
         let shared = Arc::clone(&self.shared);
@@ -502,13 +491,22 @@ impl ThreadCtx {
         if st.threads[thread.0].status == Status::Finished {
             let floor = st.threads[thread.0].finish_time + Duration::from_ns(HANDOFF_NS);
             self.clock = self.clock.max(floor);
-            return;
+        } else {
+            st.threads[thread.0].joiners.push(self.id.0);
+            st.threads[self.id.0].status = Status::Blocked;
+            st.threads[self.id.0].clock = self.clock;
+            schedule_next(&shared, &mut st);
+            self.park(st);
+            st = shared.state.lock();
         }
-        st.threads[thread.0].joiners.push(self.id.0);
-        st.threads[self.id.0].status = Status::Blocked;
-        st.threads[self.id.0].clock = self.clock;
-        schedule_next(&shared, &mut st);
-        self.park(st);
+        let handle = st.handles[thread.0].take();
+        drop(st);
+        // The finished thread takes no lock after its final hand-off,
+        // so this join cannot wait on us. Its body already returned
+        // under `catch_unwind`, so the result carries no panic.
+        if let Some(h) = handle {
+            let _ = h.join();
+        }
     }
 
     // ------------------------------------------------------------------

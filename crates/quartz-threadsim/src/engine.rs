@@ -16,6 +16,7 @@ use crate::channel::SimChannel;
 use crate::ctx::ThreadCtx;
 use crate::failure::{deadlock_report, SimFailure};
 use crate::hooks::{Hooks, NoHooks};
+use crate::permit::{Permit, RunningEngine};
 use crate::timer::{TimerApi, TimerRec};
 use crate::{ChannelId, CondId, MutexId};
 
@@ -85,7 +86,7 @@ pub(crate) struct TimedWait {
 pub(crate) struct ThreadRec {
     pub clock: SimTime,
     pub status: Status,
-    pub permit: Sender<()>,
+    pub permit: Arc<Permit>,
     pub pending_signal: Arc<AtomicBool>,
     pub joiners: Vec<usize>,
     pub finish_time: SimTime,
@@ -196,10 +197,17 @@ pub(crate) struct SchedState {
     pub rr_core: usize,
     pub shutdown: bool,
     pub failure: Option<SimFailure>,
-    pub handles: Vec<JoinHandle<()>>,
+    /// Host threads by simulated thread id; `None` once reaped by a
+    /// simulated `join`.
+    pub handles: Vec<Option<JoinHandle<()>>>,
     pub done_tx: Option<Sender<()>>,
     pub cas_spurious: Option<SpuriousCas>,
     pub livelock_threshold: u64,
+    /// Buffers [`fire_timer`] lends each firing, kept to avoid two
+    /// allocations per source firing: the live-thread list and the
+    /// injected-channel list.
+    pub timer_live: Vec<ThreadId>,
+    pub timer_injected: Vec<ChannelId>,
 }
 
 pub(crate) struct EngineShared {
@@ -292,6 +300,8 @@ impl Engine {
                     done_tx: None,
                     cas_spurious: None,
                     livelock_threshold: DEFAULT_LIVELOCK_THRESHOLD,
+                    timer_live: Vec::new(),
+                    timer_injected: Vec::new(),
                 }),
                 hooks: RwLock::new(Arc::new(NoHooks)),
                 quantum: Duration::from_us(2),
@@ -496,6 +506,7 @@ impl Engine {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         install_shutdown_hook_filter();
+        let _running = RunningEngine::enter();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         {
             let mut st = self.shared.state.lock();
@@ -518,12 +529,15 @@ impl Engine {
             self.shared.shutdown_flag.store(true, Ordering::Release);
             for t in &st.threads {
                 if t.status != Status::Finished {
-                    let _ = t.permit.send(());
+                    t.permit.grant();
                 }
             }
             std::mem::take(&mut st.handles)
         };
         for (i, h) in handles.into_iter().enumerate() {
+            let Some(h) = h else {
+                continue; // reaped by a simulated join
+            };
             if hung == Some(i) {
                 // The hung thread may be spinning in a pure-host loop
                 // that never reaches an operation boundary; joining it
@@ -655,7 +669,7 @@ pub(crate) fn spawn_thread<F>(
 where
     F: FnOnce(&mut ThreadCtx) + Send + 'static,
 {
-    let (permit_tx, permit_rx): (Sender<()>, Receiver<()>) = std::sync::mpsc::channel();
+    let permit = Arc::new(Permit::new());
     let mut st = shared.state.lock();
     let id = st.threads.len();
     let core = core.unwrap_or_else(|| {
@@ -667,7 +681,7 @@ where
     st.threads.push(ThreadRec {
         clock: start_clock,
         status: Status::Runnable,
-        permit: permit_tx,
+        permit: Arc::clone(&permit),
         pending_signal: Arc::clone(&pending),
         joiners: Vec::new(),
         finish_time: SimTime::ZERO,
@@ -682,9 +696,11 @@ where
     // state to report against yet, so panicking here is deliberate.
     let handle = std::thread::Builder::new()
         .name(format!("sim-{id}"))
-        .spawn(move || runner(shared2, id, core, pending, permit_rx, body))
+        .spawn(move || runner(shared2, id, core, pending, permit, body))
         .expect("spawn simulated thread");
-    st.handles.push(handle);
+    // Still under the scheduler lock, so no grant can precede this.
+    st.threads[id].permit.set_waiter(handle.thread().clone());
+    st.handles.push(Some(handle));
     ThreadId(id)
 }
 
@@ -693,19 +709,17 @@ fn runner<F>(
     id: usize,
     core: usize,
     pending: Arc<AtomicBool>,
-    permit_rx: Receiver<()>,
+    permit: Arc<Permit>,
     body: F,
 ) where
     F: FnOnce(&mut ThreadCtx) + Send + 'static,
 {
     // Wait to be scheduled for the first time.
-    if permit_rx.recv().is_err() {
-        return;
-    }
+    permit.wait();
     if shared.state.lock().shutdown {
         return;
     }
-    let mut ctx = ThreadCtx::new(Arc::clone(&shared), ThreadId(id), core, pending, permit_rx);
+    let mut ctx = ThreadCtx::new(Arc::clone(&shared), ThreadId(id), core, pending, permit);
     ctx.resume_bookkeeping();
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         ctx.dispatch_thread_start();
@@ -778,21 +792,7 @@ pub(crate) fn schedule_next(shared: &Arc<EngineShared>, st: &mut SchedState) {
         .min_by_key(|(i, t)| (t.clock, *i))
         .map(|(i, _)| i);
     match next {
-        Some(i) => {
-            // A send can only fail if the target already exited during
-            // shutdown, which `st.shutdown` excludes — observing one is
-            // a host-side engine fault, reported structurally so the
-            // root cause is not a panic inside the scheduler.
-            if st.threads[i].permit.send(()).is_err() {
-                fail(
-                    shared,
-                    st,
-                    SimFailure::SchedulerLost {
-                        detail: format!("permit channel to runnable thread t{i} closed"),
-                    },
-                );
-            }
-        }
+        Some(i) => st.threads[i].permit.grant(),
         None if st.live == 0 => {
             if let Some(tx) = st.done_tx.take() {
                 let _ = tx.send(());
@@ -901,13 +901,14 @@ fn advance_sources(st: &mut SchedState) -> bool {
 pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
     let fire_time = st.timers[idx].next_fire;
     let period = st.timers[idx].period;
-    let live: Vec<ThreadId> = st
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.status != Status::Finished)
-        .map(|(i, _)| ThreadId(i))
-        .collect();
+    let mut live = std::mem::take(&mut st.timer_live);
+    live.extend(
+        st.threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.status != Status::Finished)
+            .map(|(i, _)| ThreadId(i)),
+    );
     // Take the callback out so it can borrow the state view.
     let mut cb = std::mem::replace(&mut st.timers[idx].callback, Box::new(|_| {}));
     let mut api = TimerApi {
@@ -915,7 +916,7 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
         live: &live,
         signalled: Vec::new(),
         defer: Duration::ZERO,
-        injected: Vec::new(),
+        injected: std::mem::take(&mut st.timer_injected),
         closed: Vec::new(),
         next_gap: None,
         stopped: false,
@@ -924,13 +925,15 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
     let TimerApi {
         signalled,
         defer,
-        injected,
+        mut injected,
         closed,
         next_gap,
         stopped,
         ..
     } = api;
     st.timers[idx].callback = cb;
+    live.clear();
+    st.timer_live = live;
     for t in signalled {
         if let Some(rec) = st.threads.get(t.0) {
             rec.pending_signal.store(true, Ordering::Relaxed);
@@ -939,10 +942,11 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
     // Injections are applied before the stop/reschedule decision, so a
     // source's *final* firing may both deliver a payload and stop.
     let mut min_wake = None;
-    for ch in injected {
+    for ch in injected.drain(..) {
         st.channels[ch.0].queued += 1;
         wake_one_receiver(st, ch.0, fire_time, &mut min_wake);
     }
+    st.timer_injected = injected;
     for ch in closed {
         close_channel(st, ch.0, fire_time, &mut min_wake);
     }
@@ -1078,7 +1082,7 @@ pub(crate) fn abort_all(shared: &EngineShared, st: &mut SchedState) {
     shared.shutdown_flag.store(true, Ordering::Release);
     for t in &st.threads {
         if t.status != Status::Finished {
-            let _ = t.permit.send(());
+            t.permit.grant();
         }
     }
     if let Some(tx) = st.done_tx.take() {

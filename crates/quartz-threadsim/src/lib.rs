@@ -50,6 +50,7 @@ pub mod ctx;
 pub mod engine;
 pub mod failure;
 pub mod hooks;
+mod permit;
 pub mod timer;
 
 pub use atomics::{AtomicEvent, AtomicOp, AtomicPhase, CasOutcome, SimAtomicPtr, SimAtomicU64};

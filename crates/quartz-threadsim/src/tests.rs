@@ -1346,3 +1346,145 @@ fn successful_modification_resets_the_livelock_streak() {
     });
     assert!(report.is_ok(), "progress prevented the livelock verdict");
 }
+
+/// Counts its host OS thread's exit: a thread-local guard whose
+/// destructor runs as the thread exits. It sleeps first, so a caller
+/// that does not wait for the exit sees the count still low.
+struct HostExit(Arc<AtomicU64>);
+
+impl Drop for HostExit {
+    fn drop(&mut self) {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static HOST_EXIT: std::cell::RefCell<Option<HostExit>> = const { std::cell::RefCell::new(None) };
+}
+
+fn count_host_exit(exits: &Arc<AtomicU64>) {
+    HOST_EXIT.with(|g| *g.borrow_mut() = Some(HostExit(Arc::clone(exits))));
+}
+
+#[test]
+fn join_reaps_the_host_thread() {
+    let exits = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&exits);
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        let child_exits = Arc::clone(&seen);
+        let t = ctx.spawn(move |c| {
+            count_host_exit(&child_exits);
+            c.compute_ns(1_000.0);
+        });
+        ctx.join(t);
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            1,
+            "join returned before the joined thread's OS thread exited"
+        );
+    });
+}
+
+/// One producer and three consumers hand work through a channel, a
+/// mutex and `yield_now`; returns the run's report and its event log.
+fn handoff_run(seed: u64) -> (crate::RunReport, Vec<(usize, SimTime, u64)>) {
+    let e = engine(Architecture::IvyBridge);
+    let ch = e.channel::<u64>();
+    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let root_log = Arc::clone(&log);
+    let report = e
+        .try_run(move |ctx| {
+            let m = ctx.mutex_new();
+            let mut kids = Vec::new();
+            for w in 0..3u64 {
+                let (ch, log) = (ch.clone(), Arc::clone(&root_log));
+                kids.push(ctx.spawn(move |c| {
+                    while let Some(v) = c.chan_recv(&ch) {
+                        c.mutex_lock(m);
+                        c.compute_ns(((v * 7 + w) % 50) as f64 * 10.0 + 40.0);
+                        log.lock().push((c.thread_id().0, c.now(), v));
+                        c.mutex_unlock(m);
+                        c.yield_now();
+                    }
+                }));
+            }
+            ctx.chan_register_sender(&ch);
+            for v in 0..300 {
+                ctx.chan_send(&ch, seed * 1_000 + v);
+                ctx.compute_ns(((v * 13 + seed) % 9) as f64 * 30.0);
+                if v % 3 == 0 {
+                    ctx.yield_now();
+                }
+            }
+            ctx.chan_close(&ch);
+            for k in kids {
+                ctx.join(k);
+            }
+        })
+        .expect("hand-off workload completes");
+    let log = std::mem::take(&mut *log.lock());
+    (report, log)
+}
+
+#[test]
+fn engines_beyond_cpu_count_match_sequential_runs() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let seeds: Vec<u64> = (0..cpus as u64 + 2).collect();
+    let sequential: Vec<_> = seeds.iter().map(|&s| handoff_run(s)).collect();
+    let concurrent: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&s| scope.spawn(move || handoff_run(s)))
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("engine host thread"))
+            .collect()
+    });
+    for (s, (seq, conc)) in sequential.iter().zip(&concurrent).enumerate() {
+        assert_eq!(seq.1.len(), 300, "seed {s}: every item consumed once");
+        assert_eq!(seq, conc, "seed {s}: concurrent run diverged");
+    }
+}
+
+#[test]
+fn panic_while_peers_wait_is_contained() {
+    let exits = Arc::new(AtomicU64::new(0));
+    let root_exits = Arc::clone(&exits);
+    let failure = engine(Architecture::IvyBridge)
+        .try_run(move |ctx| {
+            count_host_exit(&root_exits);
+            let mut kids = Vec::new();
+            // Two peers that stay runnable: between slices they wait
+            // for their permits while another thread holds the token.
+            for _ in 0..2 {
+                let exits = Arc::clone(&root_exits);
+                kids.push(ctx.spawn(move |c| {
+                    count_host_exit(&exits);
+                    loop {
+                        c.compute_ns(100.0);
+                        c.yield_now();
+                    }
+                }));
+            }
+            let exits = Arc::clone(&root_exits);
+            kids.push(ctx.spawn(move |c| {
+                count_host_exit(&exits);
+                c.compute_ns(5_000.0);
+                panic!("worker failed");
+            }));
+            for k in kids {
+                ctx.join(k);
+            }
+        })
+        .unwrap_err();
+    assert!(
+        matches!(&failure, SimFailure::ThreadPanic { thread: ThreadId(3), message, .. } if message == "worker failed"),
+        "expected t3's ThreadPanic, got {failure}"
+    );
+    assert_eq!(
+        exits.load(Ordering::SeqCst),
+        4,
+        "try_run returned before every host thread was joined"
+    );
+}
