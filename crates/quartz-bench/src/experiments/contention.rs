@@ -139,8 +139,10 @@ fn seed_discipline(nthreads: usize, events: u64, monitor: bool) -> f64 {
             })
         })
         .collect();
-    barrier.wait();
+    // Start the clock before the barrier releases the workers: read
+    // after it, a worker could finish before the clock started.
     let t0 = Instant::now();
+    barrier.wait();
     for w in workers {
         w.join().unwrap();
     }
@@ -209,8 +211,10 @@ fn sharded_discipline(nthreads: usize, events: u64, monitor: bool) -> f64 {
             })
         })
         .collect();
-    barrier.wait();
+    // Start the clock before the barrier releases the workers: read
+    // after it, a worker could finish before the clock started.
     let t0 = Instant::now();
+    barrier.wait();
     for w in workers {
         w.join().unwrap();
     }
@@ -316,5 +320,18 @@ impl Experiment for Contention {
             "(sharding pays off where it matters: {speedup_at_8:.1}x per-event at 8 threads under monitor pressure)"
         ));
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The clock starts before the workers are released, so even a
+    /// short A/B cell times every event.
+    #[test]
+    fn discipline_clocks_cover_the_workers() {
+        assert!(sharded_discipline(16, 2_000, true) >= 1.0);
+        assert!(seed_discipline(16, 2_000, true) >= 1.0);
     }
 }

@@ -27,6 +27,11 @@ use crate::addr::LINE_SIZE;
 pub struct DramChannels {
     /// `next_free[node][channel]`.
     next_free: Vec<Vec<SimTime>>,
+    /// `transfer[node][channel]`: the throttle-register value the
+    /// channel's line transfer time was last computed for, and that
+    /// time. The time is a pure function of the value, so reusing it
+    /// until the register reads differently is exact.
+    transfer: Vec<Vec<(u32, Duration)>>,
     channel_bw_gbps: f64,
     skew_tolerance: Duration,
     thermal: ThermalControl,
@@ -55,8 +60,19 @@ impl DramChannels {
     ) -> Self {
         assert!(channels > 0, "need at least one channel");
         assert!(channel_bw_gbps > 0.0, "bandwidth must be positive");
+        let transfer = (0..nodes)
+            .map(|node| {
+                (0..channels)
+                    .map(|ch| {
+                        let reg = thermal.throttle_value(SocketId(node), ch);
+                        (reg, transfer_time(channel_bw_gbps, reg))
+                    })
+                    .collect()
+            })
+            .collect();
         DramChannels {
             next_free: vec![vec![SimTime::ZERO; channels]; nodes],
+            transfer,
             channel_bw_gbps,
             skew_tolerance,
             thermal,
@@ -78,19 +94,24 @@ impl DramChannels {
     pub fn line_transfer_time(&self, node: NodeId, channel: usize) -> Duration {
         // Throttle registers live on the IMC of the socket that owns the
         // node (socket k owns node k on our machines).
-        let frac = self
-            .thermal
-            .throttle_fraction(SocketId(node.0), channel)
-            .max(1.0 / 4095.0);
-        let ns = LINE_SIZE as f64 / (self.channel_bw_gbps * frac);
-        Duration::from_ns_f64(ns)
+        let reg = self.thermal.throttle_value(SocketId(node.0), channel);
+        transfer_time(self.channel_bw_gbps, reg)
     }
 
     /// Reserves the line's channel for one transfer starting no earlier
     /// than `now`; advances the channel's free time.
+    ///
+    /// The transfer time is [`line_transfer_time`](Self::line_transfer_time)
+    /// at this instant's register value, recomputed only when that value
+    /// differs from the one the cached time was computed for.
     pub fn reserve(&mut self, node: NodeId, line: u64, now: SimTime) -> Transfer {
         let ch = self.channel_of(line);
-        let transfer_time = self.line_transfer_time(node, ch);
+        let reg = self.thermal.throttle_value(SocketId(node.0), ch);
+        let cached = &mut self.transfer[node.0][ch];
+        if cached.0 != reg {
+            *cached = (reg, transfer_time(self.channel_bw_gbps, reg));
+        }
+        let transfer_time = cached.1;
         let slot = &mut self.next_free[node.0][ch];
         let fcfs_start = (*slot).max(now);
         // Forgive waits within the scheduler's clock-skew tolerance.
@@ -112,6 +133,13 @@ impl DramChannels {
             node.fill(SimTime::ZERO);
         }
     }
+}
+
+/// Time one line transfer occupies a channel of `channel_bw_gbps` peak
+/// bandwidth whose throttle register reads `reg`.
+fn transfer_time(channel_bw_gbps: f64, reg: u32) -> Duration {
+    let frac = ThermalControl::fraction_of(reg).max(1.0 / 4095.0);
+    Duration::from_ns_f64(LINE_SIZE as f64 / (channel_bw_gbps * frac))
 }
 
 #[cfg(test)]
@@ -177,6 +205,75 @@ mod tests {
         let full = c.reserve(NodeId(0), 0, SimTime::ZERO);
         let ratio = t.transfer_time.as_ns_f64() / full.transfer_time.as_ns_f64();
         assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
+    }
+
+    /// The transfer time `reserve` reuses follows a throttle write made
+    /// after traffic started (reserve, throttle, reserve), including a
+    /// write the fault injector perturbs, which only the register value
+    /// reveals. `line_transfer_time` is the uncached reference.
+    #[test]
+    fn transfer_time_follows_throttle_writes_after_traffic() {
+        use quartz_platform::faults::{FaultInjector, ThermalWriteFault};
+        use quartz_platform::CoreId;
+
+        /// Channel 1's writes stick with the top register bit set.
+        struct Perturb;
+        impl FaultInjector for Perturb {
+            fn thermal_write_fault(
+                &self,
+                _socket: SocketId,
+                channel: u16,
+                value: u32,
+            ) -> ThermalWriteFault {
+                if channel == 1 {
+                    ThermalWriteFault::Perturb(value | 0x800)
+                } else {
+                    ThermalWriteFault::None
+                }
+            }
+            fn pmu_read_error(&self, _core: CoreId, _slot: usize) -> bool {
+                false
+            }
+        }
+
+        let platform = Platform::new(PlatformConfig::new(Architecture::SandyBridge));
+        let kmod = platform.kernel_module();
+        let mut c = DramChannels::new(2, 3, 12.8, Duration::ZERO, platform.thermal_view());
+        let mut now = SimTime::ZERO;
+        // Lines 0, 1 and 2 map to channels 0, 1 and 2.
+        let mut reserve_all = |c: &mut DramChannels, node: usize| -> Vec<Duration> {
+            (0..3u64)
+                .map(|line| {
+                    now += Duration::from_ns(100);
+                    let t = c.reserve(NodeId(node), line, now);
+                    let reference = c.line_transfer_time(NodeId(node), c.channel_of(line));
+                    assert_eq!(t.transfer_time, reference, "node {node} line {line}");
+                    t.transfer_time
+                })
+                .collect()
+        };
+        assert_eq!(reserve_all(&mut c, 1), vec![Duration::from_ns(5); 3]);
+
+        kmod.set_dimm_throttle(SocketId(1), 0x400).unwrap();
+        let quarter = reserve_all(&mut c, 1);
+        assert_eq!(
+            quarter,
+            vec![Duration::from_ns_f64(5.0 * 4095.0 / 1024.0); 3]
+        );
+        // The other node's registers did not change.
+        assert_eq!(reserve_all(&mut c, 0), vec![Duration::from_ns(5); 3]);
+
+        platform.install_fault_injector(std::sync::Arc::new(Perturb));
+        kmod.set_dimm_throttle(SocketId(1), 0x200).unwrap();
+        assert_eq!(kmod.thermal().throttle_value(SocketId(1), 1), 0xA00);
+        let perturbed = reserve_all(&mut c, 1);
+        assert_eq!(perturbed[0], Duration::from_ns_f64(5.0 * 4095.0 / 512.0));
+        assert_eq!(perturbed[1], Duration::from_ns_f64(5.0 * 4095.0 / 2560.0));
+        assert_eq!(perturbed[2], perturbed[0]);
+
+        platform.clear_fault_injector();
+        kmod.set_dimm_throttle(SocketId(1), 0xFFF).unwrap();
+        assert_eq!(reserve_all(&mut c, 1), vec![Duration::from_ns(5); 3]);
     }
 
     #[test]

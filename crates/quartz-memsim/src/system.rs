@@ -8,6 +8,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -171,23 +172,49 @@ impl Inner {
     }
 }
 
+/// The fixed latencies of the hierarchy, converted from the platform's
+/// and the configuration's nanosecond figures once, at construction.
+struct Latencies {
+    l1: Duration,
+    l2: Duration,
+    l3: Duration,
+    /// A dirty cache-to-cache (HITM) snoop transfer.
+    hitm: Duration,
+    /// A TLB miss's page walk.
+    walk: Duration,
+}
+
 /// The simulated memory system of one machine.
 pub struct MemorySystem {
     platform: Platform,
     config: MemSimConfig,
     allocator: NumaAllocator,
+    lat: Latencies,
+    /// `core_socket[core]`: the socket (and local node) of each core.
+    core_socket: Box<[usize]>,
+    /// Whether a persistence observer is installed; written under the
+    /// `inner` lock together with `Inner::observer`, so
+    /// [`MemorySystem::persist_observer`] can answer "none" without
+    /// taking that lock.
+    observed: AtomicBool,
     inner: Mutex<Inner>,
 }
 
 /// Write-combining buffer depth for streaming stores.
 const WC_BUFFERS: usize = 8;
 
+/// Fixed instruction cost of a non-temporal store.
+const STREAM_STORE_COST: Duration = Duration::from_ps(500);
+
+/// Fixed instruction cost of a `clflushopt`.
+const FLUSH_OPT_COST: Duration = Duration::from_ns(1);
+
 /// Fixed instruction cost of a `clflush` that finds nothing to write back.
-const FLUSH_BASE_NS: f64 = 4.0;
+const FLUSH_BASE: Duration = Duration::from_ns(4);
 
 /// Memory-controller acceptance time for a synchronous flush writeback on
 /// top of queueing and transfer.
-const FLUSH_ACCEPT_NS: f64 = 10.0;
+const FLUSH_ACCEPT: Duration = Duration::from_ns(10);
 
 /// Latency multiplier for a dirty cache-to-cache (HITM) snoop transfer
 /// relative to a plain L3 hit.
@@ -230,10 +257,24 @@ impl MemorySystem {
         };
         let allocator =
             NumaAllocator::new(topo.num_nodes(), config.node_capacity, config.tlb.hugepages);
+        let params = platform.arch_params();
+        let lat = Latencies {
+            l1: Duration::from_ns_f64(params.l1_ns),
+            l2: Duration::from_ns_f64(params.l2_ns),
+            l3: Duration::from_ns_f64(params.l3_ns),
+            hitm: Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR),
+            walk: Duration::from_ns_f64(config.tlb.walk_ns),
+        };
+        let core_socket = (0..cores)
+            .map(|c| topo.socket_of(quartz_platform::CoreId(c)).0)
+            .collect();
         MemorySystem {
             platform,
             config,
             allocator,
+            lat,
+            core_socket,
+            observed: AtomicBool::new(false),
             inner: Mutex::new(inner),
         }
     }
@@ -283,6 +324,7 @@ impl MemorySystem {
     pub fn set_persist_observer(&self, observer: Option<Arc<dyn PersistObserver>>) {
         let mut g = self.inner.lock();
         g.obs_on = observer.is_some();
+        self.observed.store(g.obs_on, Ordering::Release);
         g.observer = observer;
     }
 
@@ -337,8 +379,14 @@ impl MemorySystem {
         }
     }
 
-    /// The currently installed persistence observer, if any.
+    /// The currently installed persistence observer, if any. Answers
+    /// "none" from an atomic flag, without the memory system's lock.
     pub fn persist_observer(&self) -> Option<Arc<dyn PersistObserver>> {
+        // Acquire pairs with the Release store in `set_persist_observer`:
+        // a caller ordered after an install sees the flag set.
+        if !self.observed.load(Ordering::Acquire) {
+            return None;
+        }
         self.inner.lock().observer.clone()
     }
 
@@ -381,17 +429,15 @@ impl MemorySystem {
         g.persist_event(|obs| obs.caches_invalidated());
     }
 
+    #[inline]
     fn socket_of(&self, core: usize) -> usize {
-        self.platform
-            .topology()
-            .socket_of(quartz_platform::CoreId(core))
-            .0
+        self.core_socket[core]
     }
 
+    /// Whether `node` is local to `core` (node k is socket k's).
+    #[inline]
     fn is_local(&self, core: usize, node: NodeId) -> bool {
-        self.platform
-            .topology()
-            .is_local(quartz_platform::CoreId(core), node)
+        self.core_socket[core] == node.0
     }
 
     fn dram_latency(&self, core: usize, node: NodeId, seq: u64, addr: Addr) -> (Duration, bool) {
@@ -423,7 +469,7 @@ impl MemorySystem {
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            extra = Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            extra = self.lat.walk;
         }
         if g.l1[core].touch(addr) == Lookup::Hit {
             // An L1 hit feeds no PMU event and no stall accounting
@@ -431,7 +477,7 @@ impl MemorySystem {
             // whole story.
             g.stats.l1_hits += 1;
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(self.platform.arch_params().l1_ns),
+                stall: extra + self.lat.l1,
                 served: ServiceLevel::L1,
             };
         }
@@ -553,11 +599,11 @@ impl MemorySystem {
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            extra = Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            extra = self.lat.walk;
         }
         if g.l1[core].touch(addr) == Lookup::Hit {
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(self.platform.arch_params().l1_ns),
+                stall: extra + self.lat.l1,
                 served: ServiceLevel::L1,
             };
         }
@@ -575,11 +621,10 @@ impl MemorySystem {
         extra: Duration,
         now: SimTime,
     ) -> AccessResult {
-        let params = self.platform.arch_params();
         if g.l2[core].touch(addr) == Lookup::Hit {
             self.fill_l1(g, core, addr, false, now);
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(params.l2_ns),
+                stall: extra + self.lat.l2,
                 served: ServiceLevel::L2,
             };
         }
@@ -607,7 +652,7 @@ impl MemorySystem {
                 // in the requester's private caches.
                 self.fill_l3(g, socket, addr, true, now);
                 self.fill_l2_l1(g, core, addr, false, now);
-                let stall = extra + Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR);
+                let stall = extra + self.lat.hitm;
                 let pf_owned = std::mem::take(&mut pf);
                 g.pf_buf = pf;
                 for line in pf_owned {
@@ -628,11 +673,11 @@ impl MemorySystem {
                 } else {
                     g.inflight.remove(&addr.line());
                     served = ServiceLevel::L3;
-                    stall = Duration::from_ns_f64(params.l3_ns);
+                    stall = self.lat.l3;
                 }
             } else {
                 served = ServiceLevel::L3;
-                stall = Duration::from_ns_f64(params.l3_ns);
+                stall = self.lat.l3;
             }
             self.fill_l2_l1(g, core, addr, false, now);
         } else {
@@ -753,11 +798,10 @@ impl MemorySystem {
     }
 
     fn store_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let params = self.platform.arch_params();
-        let mut cost = Duration::from_ns_f64(params.l1_ns);
+        let mut cost = self.lat.l1;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            cost += Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            cost += self.lat.walk;
         }
         // Write-invalidate: every other core's copy (shared or
         // modified) of this line is invalidated before we take it
@@ -821,10 +865,10 @@ impl MemorySystem {
     }
 
     fn store_stream_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let mut cost = Duration::from_ns_f64(0.5);
+        let mut cost = STREAM_STORE_COST;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            cost += Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            cost += self.lat.walk;
         }
         // NT stores invalidate any cached copy (in every core).
         if let Some(owner) = g.dirty_owner.remove(&addr.line()) {
@@ -896,10 +940,10 @@ impl MemorySystem {
             g.persist_event(|obs| {
                 obs.writeback(addr.line(), WritebackCause::Flush, now, t.completes_at)
             });
-            t.queue_wait + t.transfer_time + Duration::from_ns_f64(FLUSH_ACCEPT_NS)
+            t.queue_wait + t.transfer_time + FLUSH_ACCEPT
         } else {
             g.persist_event(|obs| obs.clean_flush(addr.line(), now));
-            Duration::from_ns_f64(FLUSH_BASE_NS)
+            FLUSH_BASE
         }
     }
 
@@ -929,10 +973,10 @@ impl MemorySystem {
             g.persist_event(|obs| {
                 obs.writeback(addr.line(), WritebackCause::FlushOpt, now, t.completes_at)
             });
-            (Duration::from_ns_f64(1.0), t.completes_at)
+            (FLUSH_OPT_COST, t.completes_at)
         } else {
             g.persist_event(|obs| obs.clean_flush(addr.line(), now));
-            (Duration::from_ns_f64(1.0), now)
+            (FLUSH_OPT_COST, now)
         }
     }
 
@@ -979,6 +1023,40 @@ mod tests {
     fn mem(arch: Architecture) -> MemorySystem {
         let platform = Platform::new(PlatformConfig::new(arch).with_perfect_counters());
         MemorySystem::new(platform, MemSimConfig::default().without_jitter())
+    }
+
+    /// The latencies and the core-to-socket table computed once at
+    /// construction equal what the access paths used to compute per
+    /// access.
+    #[test]
+    fn precomputed_latencies_and_sockets_match_their_sources() {
+        for arch in Architecture::ALL {
+            let m = mem(arch);
+            let params = m.platform().arch_params();
+            assert_eq!(m.lat.l1, Duration::from_ns_f64(params.l1_ns));
+            assert_eq!(m.lat.l2, Duration::from_ns_f64(params.l2_ns));
+            assert_eq!(m.lat.l3, Duration::from_ns_f64(params.l3_ns));
+            assert_eq!(
+                m.lat.hitm,
+                Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR)
+            );
+            assert_eq!(m.lat.walk, Duration::from_ns_f64(m.config().tlb.walk_ns));
+            assert_eq!(STREAM_STORE_COST, Duration::from_ns_f64(0.5));
+            assert_eq!(FLUSH_OPT_COST, Duration::from_ns_f64(1.0));
+            assert_eq!(FLUSH_BASE, Duration::from_ns_f64(4.0));
+            assert_eq!(FLUSH_ACCEPT, Duration::from_ns_f64(10.0));
+            let topo = m.platform().topology();
+            for core in 0..topo.num_cores() {
+                let c = quartz_platform::CoreId(core);
+                assert_eq!(m.socket_of(core), topo.socket_of(c).0);
+                for node in 0..topo.num_nodes() {
+                    assert_eq!(
+                        m.is_local(core, NodeId(node)),
+                        topo.is_local(c, NodeId(node))
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1166,7 +1244,7 @@ mod tests {
         // Clean flush is cheap.
         let stall2 = m.flush(0, a, SimTime::from_ns(900));
         // The loaded line is clean, so only invalidation cost.
-        assert!(stall2.as_ns_f64() <= FLUSH_ACCEPT_NS + 10.0);
+        assert!(stall2 <= FLUSH_ACCEPT + Duration::from_ns(10));
     }
 
     #[test]
@@ -1250,6 +1328,7 @@ mod tests {
         }
 
         let m = mem(Architecture::IvyBridge);
+        assert!(m.persist_observer().is_none());
         let rec = Arc::new(Rec::default());
         m.set_persist_observer(Some(rec.clone()));
         assert!(m.persist_observer().is_some());
@@ -1274,6 +1353,7 @@ mod tests {
         );
         // Uninstall: no further events.
         m.set_persist_observer(None);
+        assert!(m.persist_observer().is_none());
         m.store(0, a, SimTime::from_ns(400));
         assert_eq!(rec.events.lock().len(), events.len());
     }

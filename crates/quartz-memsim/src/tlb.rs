@@ -98,11 +98,6 @@ impl Tlb {
         false
     }
 
-    /// Page-walk cost in nanoseconds.
-    pub fn walk_ns(&self) -> f64 {
-        self.config.walk_ns
-    }
-
     /// Empties the TLB (context switch / trial reset).
     pub fn flush(&mut self) {
         self.pages.clear();

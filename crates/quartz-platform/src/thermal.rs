@@ -95,7 +95,13 @@ impl ThermalControl {
     /// the register value: `value / 0xFFF`.
     #[inline]
     pub fn throttle_fraction(&self, socket: SocketId, channel: usize) -> f64 {
-        self.throttle_value(socket, channel) as f64 / THROTTLE_MAX as f64
+        Self::fraction_of(self.throttle_value(socket, channel))
+    }
+
+    /// Fraction of peak channel bandwidth a register value permits.
+    #[inline]
+    pub fn fraction_of(value: u32) -> f64 {
+        value as f64 / THROTTLE_MAX as f64
     }
 }
 

@@ -113,12 +113,12 @@ impl Duration {
     }
 
     /// Creates a span from fractional nanoseconds, rounding to the nearest
-    /// picosecond. Negative inputs clamp to zero.
+    /// picosecond (halves away from zero). Negative inputs clamp to zero.
     pub fn from_ns_f64(ns: f64) -> Self {
         if ns <= 0.0 {
             return Duration::ZERO;
         }
-        Duration((ns * PS_PER_NS as f64).round() as u64)
+        Duration(round_to_u64(ns * PS_PER_NS as f64))
     }
 
     /// Raw picoseconds.
@@ -155,6 +155,20 @@ impl Duration {
     pub fn min(self, other: Duration) -> Duration {
         Duration(self.0.min(other.0))
     }
+}
+
+/// The largest double below one half.
+const JUST_BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+
+/// Exactly `x.round() as u64`, without the libm call that `f64::round`
+/// compiles to on baseline x86-64 (no SSE4.1). This is LLVM's own
+/// lowering of `round`: the addition rounds to nearest-even, so a half
+/// carries up to the next integer while anything below a half does not,
+/// and from 2^52 on, where every double is an integer, the addend
+/// vanishes. Negative, NaN and too-large inputs saturate like the cast.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    (x + JUST_BELOW_HALF) as u64
 }
 
 impl Add<Duration> for SimTime {
@@ -306,6 +320,83 @@ mod tests {
         assert_eq!(Duration::from_ns_f64(1.4996).as_ps(), 1_500);
         assert_eq!(Duration::from_ns_f64(-3.0), Duration::ZERO);
         assert_eq!(Duration::from_ns_f64(0.0), Duration::ZERO);
+    }
+
+    /// Edge inputs of the rounding identity: halves and their
+    /// neighbouring doubles, the boundaries of the integer-only range,
+    /// saturation, NaN, infinities, negatives and subnormals.
+    #[test]
+    fn round_to_u64_matches_round_on_edge_inputs() {
+        assert_eq!(JUST_BELOW_HALF.to_bits(), 0.5f64.to_bits() - 1);
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            JUST_BELOW_HALF,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            18_446_744_073_709_549_568.0, // largest double below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            -f64::from_bits(1),
+            -0.4,
+            -0.5,
+            -0.6,
+            -2.5,
+            -1e300,
+        ];
+        for n in [0u64, 1, 2, 3, 7, 1_000, 999_999, 1 << 40, (1 << 51) + 1] {
+            let half = n as f64 + 0.5;
+            inputs.extend([
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+                n as f64,
+                n as f64 - 0.5,
+            ]);
+        }
+        for x in inputs {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Each case checks a block of 4 096 bit patterns drawn from
+        /// its seed, so the run covers every exponent many times over.
+        #[test]
+        fn round_to_u64_matches_round_on_random_bits(seed in 0u64..u64::MAX) {
+            let mut rng = crate::seed::Rng::new(seed);
+            for _ in 0..4_096 {
+                let x = f64::from_bits(rng.next_u64());
+                proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+                // The constructor keeps its definition through `round`.
+                let reference = if x <= 0.0 { 0 } else { (x * 1e3).round() as u64 };
+                proptest::prop_assert_eq!(Duration::from_ns_f64(x).as_ps(), reference, "x = {:e}", x);
+            }
+        }
+
+        #[test]
+        fn round_to_u64_matches_round_on_nanosecond_values(ns in 0.0f64..1e7) {
+            let x = ns * 1e3;
+            proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {}", x);
+        }
     }
 
     #[test]

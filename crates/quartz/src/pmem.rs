@@ -10,10 +10,14 @@
 //! already completed — which lets independent writes proceed in parallel.
 //!
 //! Each primitive goes through the calling thread's `crate::registry`
-//! slot and acquires the slot's owner lock **at most once** per call; the
-//! seed's global `Mutex<HashMap>` needed up to two acquisitions (plus a
-//! hash each) and could lose `pflush_delay` attribution when the second
-//! lookup raced a lookup failure after `ctx.spin`.
+//! slot, reached through the per-OS-thread slot cache with no lock, and
+//! acquires the slot's owner lock **at most once** per call; the seed's
+//! global `Mutex<HashMap>` needed up to two acquisitions (plus a hash
+//! each) and could lose `pflush_delay` attribution when the second
+//! lookup raced a lookup failure after `ctx.spin`. Each primitive's slot
+//! closure returns before its `ctx.spin`, so no slot lock is held and
+//! the cached handle is back in place when a hook fires there (a
+//! monitor signal during the delay).
 
 use quartz_memsim::Addr;
 use quartz_platform::time::{Duration, SimTime};
@@ -83,21 +87,21 @@ impl Quartz {
         let t0 = ctx.now();
         ctx.flush(addr);
         let mut delay = Duration::from_ns_f64(self.config().target.write_delay_ns);
-        if let Some(slot) = self.slot_of(ctx) {
+        let now = ctx.now();
+        self.registry.with_slot(ctx.thread_id().0, |slot| {
             let mut owner = slot.lock_owner();
             if let Some(bw) = self.config().target.write_bandwidth_gbps {
                 // One cache line takes 64/bw ns to drain; the queue
                 // serializes drains, so this flush completes when the
                 // *later* of its fixed delay and its drain slot is done.
                 let drain = Duration::from_ns_f64(64.0 / bw);
-                let now = ctx.now();
                 let drained_at = owner.wpq_next_free.max(now) + drain;
                 owner.wpq_next_free = drained_at;
                 delay = delay.max(drained_at.saturating_duration_since(now));
             }
             owner.stats.pflush_delay += delay;
             owner.stats.pflushes += 1;
-        }
+        });
         ctx.spin(delay);
         if let Some(obs) = self.mem.persist_observer() {
             obs.nvm_flush(addr.line(), t0, ctx.now());
@@ -110,11 +114,11 @@ impl Quartz {
     pub fn pflush_opt(&self, ctx: &mut ThreadCtx, addr: Addr) {
         let dram_done = ctx.flush_opt(addr);
         let nvm_done = dram_done + Duration::from_ns_f64(self.config().target.write_delay_ns);
-        if let Some(slot) = self.slot_of(ctx) {
+        self.registry.with_slot(ctx.thread_id().0, |slot| {
             let mut owner = slot.lock_owner();
             merge_pending(&mut owner.pending_flushes, addr.line(), nvm_done);
             owner.stats.pflushes += 1;
-        }
+        });
         if let Some(obs) = self.mem.persist_observer() {
             obs.nvm_flush_opt(addr.line(), ctx.now(), nvm_done);
         }
@@ -130,21 +134,20 @@ impl Quartz {
     /// spinning; the seed re-looked-up the thread after the spin and
     /// silently dropped the attribution if that second lookup failed.
     pub fn pcommit(&self, ctx: &mut ThreadCtx) {
-        let Some(slot) = self.slot_of(ctx) else {
-            return;
-        };
-        let wait = {
+        let t0 = ctx.now();
+        let Some(wait) = self.registry.with_slot(ctx.thread_id().0, |slot| {
             let mut owner = slot.lock_owner();
             let latest = owner.pending_flushes.drain(..).map(|(_, done)| done).max();
             let wait = latest
-                .map(|done| done.saturating_duration_since(ctx.now()))
+                .map(|done| done.saturating_duration_since(t0))
                 .unwrap_or(Duration::ZERO);
             if !wait.is_zero() {
                 owner.stats.pflush_delay += wait;
             }
             wait
+        }) else {
+            return;
         };
-        let t0 = ctx.now();
         if !wait.is_zero() {
             ctx.spin(wait);
         }
@@ -157,8 +160,10 @@ impl Quartz {
     /// [`Quartz::pcommit`] on this thread (repeated `pflush_opt` of one
     /// line counts once).
     pub fn pending_flushes(&self, ctx: &ThreadCtx) -> usize {
-        self.slot_of(ctx)
-            .map(|slot| slot.lock_owner().pending_flushes.len())
+        self.registry
+            .with_slot(ctx.thread_id().0, |slot| {
+                slot.lock_owner().pending_flushes.len()
+            })
             .unwrap_or(0)
     }
 }

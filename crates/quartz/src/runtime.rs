@@ -215,10 +215,17 @@ impl Quartz {
     /// and DRAM bandwidth throttling. The equivalent of `LD_PRELOAD`ing
     /// the library and loading the kernel module.
     ///
+    /// Each attach starts a run. The previous run's per-thread slots
+    /// retire: they keep counting in [`Quartz::stats`] and
+    /// [`Quartz::per_thread_stats`], while the new engine's threads,
+    /// which reuse their thread ids, register fresh slots that the
+    /// failure reaper alone may drain.
+    ///
     /// # Errors
     ///
     /// Propagates thermal-register programming failures.
     pub fn attach(self: &Arc<Self>, engine: &Engine) -> Result<(), QuartzError> {
+        self.registry.retire_all();
         engine.set_hooks(Arc::clone(self) as Arc<dyn Hooks>);
 
         // Monitor thread: periodically signal threads whose epoch
@@ -334,7 +341,8 @@ impl Quartz {
         self.trace.lock().clone().unwrap_or_default()
     }
 
-    /// A snapshot of aggregate emulator statistics.
+    /// A snapshot of aggregate emulator statistics over every thread
+    /// registered, including threads of earlier runs on other engines.
     ///
     /// Slot locks are taken one at a time (never while holding the
     /// registry guard), so aggregation can run concurrently with the
@@ -366,10 +374,8 @@ impl Quartz {
             totals.cas_handoffs += s.cas_handoffs;
             totals.cas_handoff_wait += s.cas_handoff_wait;
             totals.write_term += s.write_term;
-            // Host-side lock telemetry lives in slot atomics (it is
-            // written outside the owner lock).
-            totals.lock_wait_ns += slot.lock_wait_ns();
-            totals.lock_acquisitions += slot.lock_acquisitions();
+            totals.lock_wait_ns += s.lock_wait_ns;
+            totals.lock_acquisitions += s.lock_acquisitions;
         }
         QuartzStats {
             threads: self.registry.registered(),
@@ -379,19 +385,15 @@ impl Quartz {
         }
     }
 
-    /// Per-thread statistics keyed by thread id, in registration order
-    /// (feedback for epoch-size tuning and contention diagnosis).
+    /// Per-thread statistics of every thread registered, in
+    /// registration order (feedback for epoch-size tuning and contention
+    /// diagnosis).
     pub fn per_thread_stats(&self) -> Vec<ThreadStats> {
         let mut slots = self.registry.snapshot();
         slots.sort_by_key(|s| s.slot);
         slots
             .iter()
-            .map(|slot| {
-                let mut s = slot.lock_owner().stats.clone();
-                s.lock_wait_ns = slot.lock_wait_ns();
-                s.lock_acquisitions = slot.lock_acquisitions();
-                s
-            })
+            .map(|slot| slot.lock_owner().stats.clone())
             .collect()
     }
 
@@ -721,19 +723,14 @@ impl Quartz {
         }
     }
 
-    /// The calling thread's slot handle.
-    pub(crate) fn slot_of(&self, ctx: &ThreadCtx) -> Option<Arc<ThreadSlot>> {
-        self.registry.get(ctx.thread_id().0)
-    }
-
     /// Closes the current epoch: reads counters, evaluates the model,
     /// amortizes overhead, injects the delay, and opens a new epoch
-    /// (paper Fig. 5 steps 3–6).
+    /// (paper Fig. 5 steps 3–6). A thread that never registered (hooks
+    /// disabled mid-run) has no epoch to close.
     pub(crate) fn end_epoch(&self, ctx: &mut ThreadCtx, reason: EpochReason) {
-        let Some(slot) = self.slot_of(ctx) else {
-            return; // thread never registered (hooks disabled mid-run)
-        };
-        self.end_epoch_on(&slot, ctx, reason, |_| {});
+        self.registry.with_slot(ctx.thread_id().0, |slot| {
+            self.end_epoch_on(slot, ctx, reason, |_| {});
+        });
     }
 
     /// The epoch-close critical section, parameterized over a midpoint
@@ -876,15 +873,14 @@ impl Quartz {
     /// lock exactly once. The seed's separate `epoch_age` lock +
     /// `end_epoch` relock (and its re-check race) are gone.
     fn maybe_end_epoch(&self, ctx: &mut ThreadCtx, reason: EpochReason) {
-        let Some(slot) = self.slot_of(ctx) else {
-            return;
-        };
-        let age = ctx.now().saturating_duration_since(slot.epoch_start());
-        if age >= self.config.min_epoch {
-            self.end_epoch_on(&slot, ctx, reason, |_| {});
-        } else {
-            slot.lock_owner().stats.skipped_min_epoch += 1;
-        }
+        self.registry.with_slot(ctx.thread_id().0, |slot| {
+            let age = ctx.now().saturating_duration_since(slot.epoch_start());
+            if age >= self.config.min_epoch {
+                self.end_epoch_on(slot, ctx, reason, |_| {});
+            } else {
+                slot.lock_owner().stats.skipped_min_epoch += 1;
+            }
+        });
     }
 }
 
@@ -989,17 +985,16 @@ impl Hooks for Quartz {
         match ev.phase {
             AtomicPhase::Before => self.maybe_end_epoch(ctx, EpochReason::Atomic),
             AtomicPhase::After => {
-                let Some(slot) = self.slot_of(ctx) else {
-                    return;
-                };
-                let mut owner = slot.lock_owner();
-                owner.stats.atomic_ops += 1;
-                if !ev.handoff_wait.is_zero() {
-                    owner.stats.cas_handoff_wait += ev.handoff_wait;
-                }
-                if ev.outcome == CasOutcome::Success && ev.handoff_from.is_some() {
-                    owner.stats.cas_handoffs += 1;
-                }
+                self.registry.with_slot(ctx.thread_id().0, |slot| {
+                    let mut owner = slot.lock_owner();
+                    owner.stats.atomic_ops += 1;
+                    if !ev.handoff_wait.is_zero() {
+                        owner.stats.cas_handoff_wait += ev.handoff_wait;
+                    }
+                    if ev.outcome == CasOutcome::Success && ev.handoff_from.is_some() {
+                        owner.stats.cas_handoffs += 1;
+                    }
+                });
             }
         }
     }

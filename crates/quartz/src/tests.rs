@@ -375,6 +375,278 @@ fn sim_failure_reaps_slots_and_runtime_survives_for_next_run() {
     let stats2 = quartz.stats();
     assert_eq!(stats2.totals.pflushes, 10, "only the healthy run counted");
     assert!(stats2.totals.epochs() >= 1, "epochs close normally again");
+    // Run 2's pmem calls landed in run 2's own slot, registered after
+    // the reap: one thread, with its 10 flushes and none of run 1's.
+    let per = quartz.per_thread_stats();
+    assert_eq!(per.len(), 1, "only the healthy run's root thread");
+    assert_eq!(per[0].pflushes, 10);
+    assert_eq!(stats2.threads, 4, "three reaped registrations plus one");
+}
+
+/// A `Quartz` reused on a second engine keeps the first run's
+/// per-thread stats: the second attach retires the first run's slots
+/// before the second run registers its root thread under the same
+/// thread id.
+#[test]
+fn reused_quartz_keeps_each_runs_per_thread_stats() {
+    let mem = machine(Architecture::IvyBridge, true);
+    let quartz = Quartz::new(
+        QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(450.0)),
+        Arc::clone(&mem),
+    )
+    .unwrap();
+    for flushes in [10u64, 5] {
+        let engine = Engine::new(Arc::clone(&mem));
+        quartz.attach(&engine).unwrap();
+        let q = Arc::clone(&quartz);
+        engine.run(move |ctx| {
+            let buf = q.pmalloc(ctx, 4096).unwrap();
+            for i in 0..flushes {
+                ctx.store(buf.offset_by(i * 64));
+                q.pflush_opt(ctx, buf.offset_by(i * 64));
+            }
+            q.pcommit(ctx);
+        });
+    }
+    let stats = quartz.stats();
+    assert_eq!(stats.threads, 2);
+    assert_eq!(stats.totals.pflushes, 15, "{stats}");
+    assert_eq!(stats.totals.epochs_exit, 2);
+    let per: Vec<u64> = quartz
+        .per_thread_stats()
+        .iter()
+        .map(|t| t.pflushes)
+        .collect();
+    assert_eq!(per, vec![10, 5], "registration order");
+}
+
+/// A failed run reaps only its own slots. Run A's four threads finish;
+/// run B, on a fresh engine, registers one thread, which reuses run A's
+/// root thread id, and then fails. The reaper drains B's slot alone:
+/// A's per-thread stats survive, and A's undrained pending flushes are
+/// not taken for B's.
+#[test]
+fn failed_run_reaps_only_its_own_slots() {
+    let mem = machine(Architecture::IvyBridge, true);
+    let quartz = Quartz::new(
+        QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(450.0)),
+        Arc::clone(&mem),
+    )
+    .unwrap();
+
+    // Run A: the root and three children, each flushing i + 1 lines with
+    // `pflush_opt` and leaving them pending.
+    let engine = Engine::new(Arc::clone(&mem));
+    quartz.attach(&engine).unwrap();
+    let q = Arc::clone(&quartz);
+    engine.run(move |ctx| {
+        let buf = q.pmalloc(ctx, 4 * 4096).unwrap();
+        let flush = move |c: &mut ThreadCtx, q: &Quartz, i: u64| {
+            for l in 0..=i {
+                let a = buf.offset_by(i * 4096 + l * 64);
+                c.store(a);
+                q.pflush_opt(c, a);
+            }
+        };
+        let kids: Vec<_> = (1..4u64)
+            .map(|i| {
+                let q = Arc::clone(&q);
+                ctx.spawn(move |c| flush(c, &q, i))
+            })
+            .collect();
+        flush(ctx, &q, 0);
+        for k in kids {
+            ctx.join(k);
+        }
+    });
+    let mut run_a: Vec<u64> = quartz
+        .per_thread_stats()
+        .iter()
+        .map(|t| t.pflushes)
+        .collect();
+    run_a.sort_unstable();
+    assert_eq!(run_a, vec![1, 2, 3, 4]);
+
+    // Run B: one thread that flushes once and then panics.
+    let engine = Engine::new(Arc::clone(&mem));
+    quartz.attach(&engine).unwrap();
+    let q = Arc::clone(&quartz);
+    let failure = engine
+        .try_run(move |ctx| {
+            let buf = q.pmalloc(ctx, 4096).unwrap();
+            ctx.store(buf);
+            q.pflush(ctx, buf);
+            panic!("run B fails");
+        })
+        .unwrap_err();
+    assert!(
+        matches!(failure, quartz_threadsim::SimFailure::ThreadPanic { .. }),
+        "{failure}"
+    );
+
+    let stats = quartz.stats();
+    assert_eq!(stats.degradation.orphan_slots_reaped, 1, "{stats}");
+    assert_eq!(stats.degradation.epoch_state_anomalies, 0, "{stats}");
+    assert_eq!(stats.threads, 5);
+    assert_eq!(stats.totals.pflushes, 10, "run A's flushes only: {stats}");
+    let mut per: Vec<u64> = quartz
+        .per_thread_stats()
+        .iter()
+        .map(|t| t.pflushes)
+        .collect();
+    per.sort_unstable();
+    assert_eq!(per, run_a, "run A's four per-thread entries survive");
+}
+
+/// A persistence observer installed and removed while a run is under
+/// way sees exactly the `pflush`/`pflush_opt`/`pcommit` events issued
+/// between the two calls: the observer check that answers "none"
+/// without the memory system's lock must not miss an install, nor keep
+/// reporting after a removal.
+#[test]
+fn persist_observer_sees_exactly_the_pmem_events_while_installed() {
+    use quartz_memsim::PersistObserver;
+    use quartz_platform::time::SimTime;
+
+    #[derive(Default)]
+    struct Rec(parking_lot::Mutex<Vec<String>>);
+    impl PersistObserver for Rec {
+        fn nvm_flush(&self, line: u64, _initiated: SimTime, _durable_at: SimTime) {
+            self.0.lock().push(format!("flush l{line}"));
+        }
+        fn nvm_flush_opt(&self, line: u64, _now: SimTime, _nvm_done: SimTime) {
+            self.0.lock().push(format!("flush_opt l{line}"));
+        }
+        fn nvm_commit(&self, _now: SimTime, _done_at: SimTime) {
+            self.0.lock().push("commit".into());
+        }
+    }
+
+    let mem = machine(Architecture::IvyBridge, true);
+    let engine = Engine::new(Arc::clone(&mem));
+    let quartz = Quartz::new(
+        QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(450.0)),
+        mem,
+    )
+    .unwrap();
+    quartz.attach(&engine).unwrap();
+    let rec = Arc::new(Rec::default());
+    let (q, r) = (Arc::clone(&quartz), Arc::clone(&rec));
+    let lines = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let l = Arc::clone(&lines);
+    engine.run(move |ctx| {
+        let buf = q.pmalloc(ctx, 1 << 12).unwrap();
+        let mut next = 0u64;
+        let mut phase = |ctx: &mut ThreadCtx| {
+            let a = buf.offset_by(next * 64);
+            let b = buf.offset_by((next + 1) * 64);
+            next += 2;
+            ctx.store(a);
+            q.pflush(ctx, a);
+            ctx.store(b);
+            q.pflush_opt(ctx, b);
+            q.pcommit(ctx);
+            (a.line(), b.line())
+        };
+        phase(ctx);
+        ctx.mem().set_persist_observer(Some(r.clone()));
+        *l.lock() = vec![phase(ctx), phase(ctx)];
+        ctx.mem().set_persist_observer(None);
+        phase(ctx);
+    });
+    let mut expected = Vec::new();
+    for (a, b) in lines.lock().iter() {
+        expected.extend([
+            format!("flush l{a}"),
+            format!("flush_opt l{b}"),
+            "commit".into(),
+        ]);
+    }
+    assert_eq!(*rec.0.lock(), expected);
+}
+
+/// A monitor signal that lands inside `pflush`'s delay spin runs the
+/// signal hook's slot lookup while `pflush` is still on the stack. It
+/// must neither panic nor charge anything twice: every signal is
+/// counted exactly once, and the flush accounting is exact.
+#[test]
+fn signal_inside_pflush_spin_neither_panics_nor_double_counts() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    use quartz_threadsim::{FanoutHooks, Hooks};
+
+    /// Counts signals, and those delivered at `pflush`'s spin: the only
+    /// op boundary inside `pflush` past its entry instant (the flush
+    /// itself takes virtual time before the spin).
+    #[derive(Default)]
+    struct Probe {
+        in_pflush: AtomicBool,
+        entry_ps: AtomicU64,
+        signals: AtomicU64,
+        in_spin: AtomicU64,
+    }
+    impl Hooks for Probe {
+        fn on_signal(&self, ctx: &mut ThreadCtx) {
+            self.signals.fetch_add(1, Ordering::Relaxed);
+            if self.in_pflush.load(Ordering::Relaxed)
+                && ctx.now().as_ps() > self.entry_ps.load(Ordering::Relaxed)
+            {
+                self.in_spin.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    const FLUSHES: u64 = 200;
+    const DELAY_NS: u64 = 20_000;
+    let mem = machine(Architecture::IvyBridge, true);
+    let engine = Engine::new(Arc::clone(&mem));
+    // A 5 ns monitor period puts a timer firing inside every flush's
+    // virtual cost, so the spin's op boundary fires it; the minimum
+    // epoch keeps every signalled epoch open, so the 1 µs maximum is
+    // exceeded at every firing and each one signals.
+    let mut cfg = QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(DELAY_NS as f64))
+        .with_max_epoch(Duration::from_us(1));
+    cfg.monitor_period = Duration::from_ns(5);
+    cfg.min_epoch = Duration::from_ms(1_000);
+    let quartz = Quartz::new(cfg, Arc::clone(&mem)).unwrap();
+    quartz.attach(&engine).unwrap();
+    let probe = Arc::new(Probe::default());
+    engine.set_hooks(Arc::new(FanoutHooks::new(vec![
+        Arc::clone(&probe) as Arc<dyn Hooks>,
+        Arc::clone(&quartz) as Arc<dyn Hooks>,
+    ])));
+    let (q, p) = (Arc::clone(&quartz), Arc::clone(&probe));
+    engine.run(move |ctx| {
+        let buf = q.pmalloc(ctx, FLUSHES * 64).unwrap();
+        for i in 0..FLUSHES {
+            let a = buf.offset_by(i * 64);
+            ctx.store(a);
+            p.entry_ps.store(ctx.now().as_ps(), Ordering::Relaxed);
+            p.in_pflush.store(true, Ordering::Relaxed);
+            q.pflush(ctx, a);
+            p.in_pflush.store(false, Ordering::Relaxed);
+        }
+    });
+    let stats = quartz.stats();
+    let signals = probe.signals.load(Ordering::Relaxed);
+    assert!(
+        probe.in_spin.load(Ordering::Relaxed) >= FLUSHES / 2,
+        "signals inside the spin: {} of {signals}",
+        probe.in_spin.load(Ordering::Relaxed)
+    );
+    assert_eq!(
+        stats.totals.skipped_min_epoch, signals,
+        "one skip per signal"
+    );
+    assert_eq!(stats.totals.epochs(), 1, "only the exit closes: {stats}");
+    assert_eq!(stats.totals.pflushes, FLUSHES);
+    assert_eq!(
+        stats.totals.pflush_delay,
+        Duration::from_ns(FLUSHES * DELAY_NS)
+    );
+    // One slot-lock acquisition per flush, per signal, for the exit
+    // close and for this `stats()` read.
+    assert_eq!(stats.totals.lock_acquisitions, FLUSHES + signals + 2);
 }
 
 #[test]
@@ -781,19 +1053,23 @@ fn end_epoch_holds_slot_lock_across_read_and_update() {
     let p = Arc::clone(&probes);
     engine.run(move |ctx| {
         chase(ctx, NodeId(0), 2_000);
-        let slot = q.slot_of(ctx).expect("thread registered at start");
-        for _ in 0..3 {
-            chase(ctx, NodeId(0), 500);
-            q.end_epoch_on(&slot, ctx, EpochReason::MutexUnlock, |s| {
-                // A concurrent close (the seed's race partner) would have
-                // to acquire the owner lock right here — it must fail.
-                assert!(
-                    s.try_lock_owner().is_none(),
-                    "owner lock must be held across the counter-read/state-update window"
-                );
-                p.fetch_add(1, Ordering::SeqCst);
-            });
-        }
+        q.registry
+            .with_slot(ctx.thread_id().0, |slot| {
+                for _ in 0..3 {
+                    chase(ctx, NodeId(0), 500);
+                    q.end_epoch_on(slot, ctx, EpochReason::MutexUnlock, |s| {
+                        // A concurrent close (the seed's race partner) would
+                        // have to acquire the owner lock right here — it must
+                        // fail.
+                        assert!(
+                            s.try_lock_owner().is_none(),
+                            "owner lock must be held across the counter-read/state-update window"
+                        );
+                        p.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            })
+            .expect("thread registered at start");
     });
     assert_eq!(
         probes.load(Ordering::SeqCst),
