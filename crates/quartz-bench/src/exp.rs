@@ -3,7 +3,7 @@
 //!
 //! An experiment is a named, self-describing unit that maps an
 //! execution context ([`ExpCtx`]: quick flag, worker budget) to an
-//! [`ExpReport`] (tables, free-form notes, exported emulator
+//! [`ExpReport`] (tables, free-form notes, claims, exported emulator
 //! statistics). Experiments never print or touch the filesystem —
 //! the harness renders, saves, and indexes their reports, which is what
 //! makes `repro` output byte-identical at any `--jobs` count.
@@ -162,6 +162,17 @@ impl ExpCtx {
     }
 }
 
+/// One checked statement about an experiment's result (see
+/// [`ExpReport::claim`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Claim {
+    /// Whether the measured result satisfies the statement.
+    pub holds: bool,
+    /// The statement with its measured value, e.g.
+    /// `"false negatives 0 == 0"`.
+    pub what: String,
+}
+
 /// What an experiment produced: rendered by the harness to the console,
 /// CSV files, and the per-experiment JSON row file.
 #[derive(Default)]
@@ -171,6 +182,9 @@ pub struct ExpReport {
     /// Free-form commentary lines printed after the tables (paper
     /// comparisons, findings).
     pub notes: Vec<String>,
+    /// Checked statements about the result, printed after the notes.
+    /// A false one marks the run `claim_failed` (outputs still saved).
+    pub claims: Vec<Claim>,
     /// Labelled emulator statistics (`QuartzStats::to_json` output),
     /// embedded in the experiment's JSON row file.
     pub stats: Vec<(String, Json)>,
@@ -199,6 +213,17 @@ impl ExpReport {
     /// Adds a commentary line.
     pub fn note(&mut self, line: impl Into<String>) -> &mut Self {
         self.notes.push(line.into());
+        self
+    }
+
+    /// States a claim about the result: `holds` is computed from the
+    /// typed rows inside `run`, and `what` says what was checked with
+    /// the measured value, so a failure explains itself.
+    pub fn claim(&mut self, holds: bool, what: impl Into<String>) -> &mut Self {
+        self.claims.push(Claim {
+            holds,
+            what: what.into(),
+        });
         self
     }
 
@@ -267,9 +292,16 @@ mod tests {
     #[test]
     fn report_builders() {
         let mut r = ExpReport::with_table(Table::new("T", &["a"]));
-        r.note("n").stat("s", Json::obj(vec![]));
+        r.note("n").claim(true, "c").stat("s", Json::obj(vec![]));
         assert_eq!(r.tables.len(), 1);
         assert_eq!(r.notes, vec!["n".to_string()]);
+        assert_eq!(
+            r.claims,
+            vec![Claim {
+                holds: true,
+                what: "c".into()
+            }]
+        );
         assert_eq!(r.stats[0].0, "s");
     }
 }

@@ -24,8 +24,9 @@
 //!   anomaly, so the runtime stays usable for the next run.
 //!
 //! A misclassification panics the grid point, which quarantines this
-//! experiment and makes `repro` exit non-zero — the self-test *is* the
-//! assertion. The table prints only deterministic diagnostics (thread
+//! experiment and makes `repro` exit non-zero; a diagnostic that does
+//! not name what its scenario must name fails that scenario's claim.
+//! The table prints only deterministic diagnostics (thread
 //! ids, cycles, configured budgets — never host-dependent sim-times of
 //! the hang path), so the experiment participates in the byte-identical
 //! `--jobs` guarantee.
@@ -110,12 +111,27 @@ impl Scenario {
             Scenario::LivelockCasStorm => "livelock",
         }
     }
+
+    /// What the diagnostic must name: the cycle edges, the panic
+    /// payload, the token holder and budget, the spinning set and
+    /// threshold, the reap counts, or the clean expiry.
+    fn names(self) -> &'static str {
+        match self {
+            Scenario::Clean => "completed at",
+            Scenario::DeadlockAbba => "t1 -(m1)-> t2, t2 -(m0)-> t1",
+            Scenario::PanicChild => "t1 \"injected fault\"",
+            Scenario::HangVirtualSpin => "t0 exceeded 25ms watchdog budget",
+            Scenario::LivelockCasStorm => "t1+t2 failed 400 consecutive CAS without progress",
+            Scenario::DeadlockQuartzReap => "reaped=3 anomalies=1",
+            Scenario::TimeoutRecvExpiry => "expired cleanly",
+        }
+    }
 }
 
 /// One evaluated scenario, ready for the table.
 struct Row {
     label: String,
-    expected: &'static str,
+    scenario: Scenario,
     observed: String,
     diagnostic: String,
 }
@@ -368,7 +384,7 @@ fn eval(pt: &Pt<Scenario>) -> Row {
     );
     Row {
         label,
-        expected: scenario.expected(),
+        scenario,
         observed,
         diagnostic,
     }
@@ -404,18 +420,12 @@ impl Experiment for FailureModes {
         for r in &rows {
             table.row(&[
                 r.label.clone(),
-                r.expected.to_string(),
+                r.scenario.expected().to_string(),
                 r.observed.clone(),
                 r.diagnostic.clone(),
             ]);
         }
         let mut report = ExpReport::with_table(table);
-        report.note(format!(
-            "(verdict: {}/{} scenarios classified as expected; a misclassification \
-             panics its grid point and quarantines this experiment)",
-            rows.len(),
-            Scenario::ALL.len()
-        ));
         report.note(format!(
             "(hang detection is host-timed — watchdog budget {HANG_BUDGET_MS} ms — but the \
              classification and named token holder are deterministic; host-dependent \
@@ -426,6 +436,16 @@ impl Experiment for FailureModes {
              per-thread slots reaped and the undrained flush counted as an epoch-state \
              anomaly, leaving the runtime clean for subsequent runs)",
         );
+        for r in &rows {
+            let (expected, names) = (r.scenario.expected(), r.scenario.names());
+            report.claim(
+                r.observed == expected && r.diagnostic.contains(names),
+                format!(
+                    "{}: {} == {expected}, diagnostic names {names}",
+                    r.label, r.observed
+                ),
+            );
+        }
         report
     }
 }

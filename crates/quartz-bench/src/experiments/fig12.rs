@@ -79,7 +79,15 @@ impl Experiment for Fig12 {
                     f(err, 2),
                 ]);
             }
-            report.note(format!("worst error on {arch}: {worst_err:.2}%"));
+            let band = match arch {
+                Architecture::SandyBridge => 9.0,
+                Architecture::IvyBridge => 2.0,
+                Architecture::Haswell => 6.0,
+            };
+            report.claim(
+                worst_err < band,
+                format!("worst error on {arch} {worst_err:.2}% < {band}%"),
+            );
         }
         report.tables.push(table);
         report.note("(paper: <9% Sandy Bridge, <2% Ivy Bridge, <6% Haswell)");

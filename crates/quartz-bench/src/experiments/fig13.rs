@@ -134,6 +134,11 @@ impl Experiment for Fig13 {
             ],
         );
         let mut it = times.chunks(min_epochs.len());
+        // Worst |error| of the propagating cs-only lines and of the
+        // finest with-compute line, and the no-propagation errors per
+        // (family, scenario) in thread order.
+        let (mut cs_worst, mut fine_worst) = (0.0f64, 0.0f64);
+        let mut unpropagated: Vec<(String, Vec<f64>)> = Vec::new();
         for arch in archs {
             for with_compute in [false, true] {
                 let scenario = if with_compute {
@@ -141,6 +146,7 @@ impl Experiment for Fig13 {
                 } else {
                     "cs only"
                 };
+                let mut no_prop = Vec::new();
                 for &threads in &thread_counts {
                     let group = it.next().expect("group per (arch, scenario, threads)");
                     let actual_ms = group[0];
@@ -150,6 +156,14 @@ impl Experiment for Fig13 {
                         } else {
                             signed_error_pct(ms, actual_ms)
                         };
+                        match min_epoch {
+                            Some(None) => no_prop.push(err),
+                            Some(Some(_)) if !with_compute => cs_worst = cs_worst.max(err.abs()),
+                            Some(Some(min)) if *min == Duration::from_us(10) => {
+                                fine_worst = fine_worst.max(err.abs())
+                            }
+                            _ => {}
+                        }
                         table.row(&[
                             arch.to_string(),
                             scenario.to_string(),
@@ -160,12 +174,42 @@ impl Experiment for Fig13 {
                         ]);
                     }
                 }
+                unpropagated.push((format!("{arch} {scenario}"), no_prop));
             }
         }
         let mut report = ExpReport::with_table(table);
-        report.note(
-            "(paper: <3% error with propagation; up to -34% without, worsening with threads)",
-        );
+        report
+            .note("(paper: <3% error with propagation; up to -34% without, worsening with threads)")
+            .note(
+                "(not claimed: the min 0.1/1 ms with-compute cells, the documented coarse-epoch \
+                 deviation — EXPERIMENTS.md \"Known deviation\", DESIGN.md §7)",
+            );
+        report
+            .claim(
+                cs_worst <= 3.0,
+                format!(
+                    "every propagating cs-only line within +-3% of actual: worst {cs_worst:.2}%"
+                ),
+            )
+            .claim(
+                fine_worst <= 3.0,
+                format!(
+                    "the min 0.01 ms with-compute line within +-3% of actual: worst \
+                     {fine_worst:.2}%"
+                ),
+            );
+        let threads = thread_counts.map(|t| t.to_string()).join("/");
+        for (group, errs) in &unpropagated {
+            let shown: Vec<String> = errs.iter().map(|e| format!("{e:.1}")).collect();
+            report.claim(
+                errs.iter().all(|&e| e < 0.0) && errs.windows(2).all(|w| w[1] < w[0]),
+                format!(
+                    "{group}: no-propagation error {}% at {threads} threads is negative and \
+                     grows in magnitude",
+                    shown.join("/")
+                ),
+            );
+        }
         report
     }
 }

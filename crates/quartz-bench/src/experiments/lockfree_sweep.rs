@@ -154,10 +154,6 @@ impl Experiment for LockfreeSweep {
         }
         report.table(table);
         report.note(format!(
-            "(verdict: false_negatives={false_negatives} false_positives={false_positives} \
-             across {total_points} crash points from {threads}x{pushes}-op runs)"
-        ));
-        report.note(format!(
             "(winning CASes contributed {total_seams} cas_seam crash candidates; \
              epoch state settles before each publication)"
         ));
@@ -165,6 +161,40 @@ impl Experiment for LockfreeSweep {
             "(every point is evaluated offline from one recorded execution: \
              same seed => same durable images at any --jobs)",
         );
+        let fewest_points = rows.iter().map(|r| r.out.points).min().unwrap_or(0);
+        let fewest_seams = rows.iter().map(|r| r.out.cas_seams).min().unwrap_or(0);
+        let drained = rows
+            .iter()
+            .filter(|r| r.out.popped == threads * pushes)
+            .count();
+        report
+            .claim(
+                fewest_points > 0 && fewest_seams > 0,
+                format!(
+                    "every configuration derives crash points and CAS seams: {total_points} \
+                     points from {threads}x{pushes}-op runs, fewest {fewest_points} > 0, \
+                     fewest seams {fewest_seams} > 0"
+                ),
+            )
+            .claim(
+                drained == rows.len(),
+                format!(
+                    "the drain pops all {} pushed items in {drained} of {} runs",
+                    threads * pushes,
+                    rows.len()
+                ),
+            )
+            .claim(
+                false_positives == 0,
+                format!(
+                    "false positives {false_positives} == 0: the correct variants survive \
+                     every point"
+                ),
+            )
+            .claim(
+                false_negatives == 0,
+                format!("false negatives {false_negatives} == 0: every seeded bug is flagged"),
+            );
         let bench = Json::obj(vec![
             ("schema", Json::Int(1)),
             ("bench", Json::str("lockfree_sweep")),

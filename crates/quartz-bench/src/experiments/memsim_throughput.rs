@@ -20,8 +20,8 @@
 //!    byte-identically.
 //!
 //! Besides the usual tables, the experiment emits `BENCH_memsim.json`
-//! — the machine-readable throughput-trajectory file validated by CI
-//! and tracked PR-over-PR.
+//! — the machine-readable throughput-trajectory file tracked
+//! PR-over-PR.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -230,7 +230,8 @@ struct SweepRow {
 /// (`Instant` around real work), so it opts out of the byte-identical
 /// determinism contract and always evaluates serially — but the
 /// non-timing fields of its `BENCH_memsim.json` (access counts, trace
-/// event counts, equivalence flag) are deterministic and golden-tested.
+/// event counts, equivalence flag) are deterministic, and it claims
+/// them.
 pub struct MemsimThroughput;
 
 impl Experiment for MemsimThroughput {
@@ -392,11 +393,48 @@ impl Experiment for MemsimThroughput {
                 live_total,
                 replay_total,
                 speedup
-            ))
-            .note(format!(
-                "(same-config replay reproduces live MemStats byte-identically: {})",
-                if equivalent { "yes" } else { "NO" }
             ));
+        let rate = |mix: &str| {
+            mix_rows
+                .iter()
+                .find(|r| r.name == mix)
+                .map_or(0.0, |r| r.per_sec)
+        };
+        report
+            .claim(
+                mix_rows
+                    .iter()
+                    .all(|r| r.accesses > 0 && r.wall_ms > 0.0 && r.per_sec > 0.0),
+                format!(
+                    "all {} mixes (l1_hit, l3_miss, stream) ran with accesses, wall time and \
+                     rate > 0",
+                    mix_rows.len()
+                ),
+            )
+            .claim(
+                rate("l1_hit") > 2.0 * rate("l3_miss"),
+                format!(
+                    "l1_hit {:.2} Maccess/s > 2 x l3_miss {:.2} Maccess/s: the fast path pays",
+                    rate("l1_hit") / 1e6,
+                    rate("l3_miss") / 1e6
+                ),
+            )
+            .claim(
+                sweep_rows.len() >= 4 && !trace.is_empty(),
+                format!(
+                    "replay sweep covers {} configs (>= 4) from {} trace events (> 0)",
+                    sweep_rows.len(),
+                    trace.len()
+                ),
+            )
+            .claim(
+                equivalent,
+                "same-config replay reproduces live MemStats byte-identically",
+            )
+            .claim(
+                speedup >= 3.0,
+                format!("replay speedup {speedup:.1}x >= 3x over live re-execution"),
+            );
         report.bench_file(
             "BENCH_memsim.json",
             bench_json(
@@ -412,8 +450,8 @@ impl Experiment for MemsimThroughput {
     }
 }
 
-/// Renders `BENCH_memsim.json`: the stable, CI-validated throughput
-/// document. Timing fields vary run to run; `accesses`, `configs`,
+/// Renders `BENCH_memsim.json`: the stable throughput document.
+/// Timing fields vary run to run; `accesses`, `configs`,
 /// `trace_events`, and `equivalent` are deterministic.
 fn bench_json(
     ctx: &ExpCtx,

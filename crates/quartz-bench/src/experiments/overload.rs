@@ -31,9 +31,9 @@
 //! worker that wedges mid-run, or nothing (the control). Each class
 //! declares the worst protected-goodput degradation it may cause
 //! relative to the fault-free protected cell at the same load
-//! ([`ServiceFaultClass::goodput_bound_pct`]); the emitted JSON
-//! carries the bounds and a per-cell conservation verdict
-//! (`offered == served + shed + expired + failed`).
+//! ([`ServiceFaultClass::goodput_bound_pct`]); the experiment claims
+//! every bound and per-cell conservation (`offered == served + shed +
+//! expired + failed`), and the emitted JSON carries both.
 //!
 //! Emits `BENCH_overload.json`; every cell is pure virtual-time
 //! measurement with seeded fault decisions, so the file is
@@ -197,18 +197,6 @@ impl Experiment for OverloadMatrix {
             ],
         );
         for r in &rows {
-            assert!(
-                r.result.conservation_holds(),
-                "{}/{}/{}: conservation violated: offered {} != {} + {} + {} + {}",
-                r.memory,
-                r.mode,
-                r.fault,
-                r.result.offered,
-                r.result.completed,
-                r.result.shed,
-                r.result.expired,
-                r.result.failed
-            );
             table.row(&[
                 r.memory.into(),
                 r.mode.into(),
@@ -295,13 +283,134 @@ impl Experiment for OverloadMatrix {
             svc.batch,
         ));
         report.note(format!(
-            "({} requests per cell, {DEADLINE_US} us deadline budget in every cell, \
-             conservation offered == served + shed + expired + failed asserted per cell; \
+            "({} requests per cell, {DEADLINE_US} us deadline budget in every cell; \
              fault plans seeded from {SEED})",
             requests
         ));
+        claim_matrix(&mut report, &rows);
         report.bench_file("BENCH_overload.json", bench_json(ctx, &rows));
         report
+    }
+}
+
+/// Mean requests served per worker wake-up.
+fn batch_factor(res: &ServiceResult) -> f64 {
+    res.completed as f64 / res.wakeups.max(1) as f64
+}
+
+/// States the matrix's claims: per-cell conservation and ordering,
+/// and per memory the open-loop curve shape, the protection story past
+/// the knee, and each fault class's declared goodput bound.
+fn claim_matrix(report: &mut ExpReport, rows: &[CellRow]) {
+    let conserving = rows
+        .iter()
+        .filter(|r| r.result.conservation_holds())
+        .count();
+    report.claim(
+        conserving == rows.len() && rows.len() >= 36,
+        format!(
+            "offered == served + shed + expired + failed in {conserving} of {} cells (>= 36)",
+            rows.len()
+        ),
+    );
+    let ordered = rows
+        .iter()
+        .filter(|r| {
+            let (res, lat) = (&r.result, &r.result.latency);
+            res.served_in_deadline <= res.completed
+                && lat.p50() <= lat.p99()
+                && lat.p99() <= lat.p999()
+        })
+        .count();
+    report.claim(
+        ordered == rows.len(),
+        format!(
+            "served_in_deadline <= served and p50 <= p99 <= p999 in {ordered} of {} cells",
+            rows.len()
+        ),
+    );
+    for memory in ["dram", "optane"] {
+        // Rows run in ascending load order within each curve.
+        let curve = |mode: &str, fault: &str| -> Vec<&CellRow> {
+            rows.iter()
+                .filter(|r| r.memory == memory && r.mode == mode && r.fault == fault)
+                .collect()
+        };
+        let prot = curve("protected", "none");
+        let unprot = curve("unprotected", "none");
+        let sane = unprot.iter().all(|c| {
+            let res = &c.result;
+            res.achieved_rps() > 0.0
+                && res.achieved_rps() <= c.offered_rps * 1.05
+                && res.latency.mean_ns() > 0.0
+                && batch_factor(res) >= 1.0
+        });
+        report.claim(
+            sane && prot.len() >= 3 && unprot.len() >= 3,
+            format!(
+                "{memory}: all {} unprotected fault-free loads (>= 3) complete at \
+                 0 < achieved <= 1.05x offered, mean > 0, batch factor >= 1",
+                unprot.len()
+            ),
+        );
+        // Graceful: never below 0.8x the best goodput seen so far.
+        let mut best = 0.0f64;
+        let mut lowest = f64::INFINITY;
+        for c in &prot {
+            let g = c.result.goodput_rps();
+            if best > 0.0 {
+                lowest = lowest.min(g / best);
+            }
+            best = best.max(g);
+        }
+        report.claim(
+            lowest >= 0.8,
+            format!(
+                "{memory}: protected goodput never drops below 0.8x the best load so far \
+                 (lowest {lowest:.2}x)"
+            ),
+        );
+        let (u_lo, u_hi, p_hi) = (unprot[0], unprot[unprot.len() - 1], prot[prot.len() - 1]);
+        let p999 = |c: &CellRow| c.result.latency.p999();
+        report.claim(
+            p999(u_hi) > 3 * p999(u_lo) && p999(u_hi) > 2 * p999(p_hi),
+            format!(
+                "{memory}: past the knee unprotected p999 {:.1} us > 3x its {:.1} us at \
+                 the lowest load and > 2x protected {:.1} us",
+                p999(u_hi) as f64 / 1e3,
+                p999(u_lo) as f64 / 1e3,
+                p999(p_hi) as f64 / 1e3
+            ),
+        );
+        report.claim(
+            p_hi.result.shed > 0 && p_hi.result.goodput_rps() > u_hi.result.goodput_rps(),
+            format!(
+                "{memory}: past the knee protected sheds {} > 0 and holds goodput \
+                 {:.2} Mrps > unprotected {:.2} Mrps",
+                p_hi.result.shed,
+                p_hi.result.goodput_rps() / 1e6,
+                u_hi.result.goodput_rps() / 1e6
+            ),
+        );
+        // Fault cells against the fault-free protected cell at the
+        // same load.
+        for fault in &FAULTS[1..] {
+            let mut worst = 0.0f64;
+            for (c, clean) in curve("protected", fault.name()).iter().zip(&prot) {
+                let base = clean.result.goodput_rps();
+                if base > 0.0 {
+                    worst = worst.max((1.0 - c.result.goodput_rps() / base).max(0.0) * 100.0);
+                }
+            }
+            let bound = fault.goodput_bound_pct();
+            report.claim(
+                worst <= bound + 1e-9,
+                format!(
+                    "{memory}/{}: worst protected goodput drop {worst:.1}% <= {bound}%",
+                    fault.name()
+                ),
+            );
+        }
     }
 }
 
@@ -334,10 +443,7 @@ fn bench_json(ctx: &ExpCtx, rows: &[CellRow]) -> String {
                 ("p50_ns", Json::Int(res.latency.p50())),
                 ("p99_ns", Json::Int(res.latency.p99())),
                 ("p999_ns", Json::Int(res.latency.p999())),
-                (
-                    "batch_factor",
-                    Json::num3(res.completed as f64 / res.wakeups.max(1) as f64),
-                ),
+                ("batch_factor", Json::num3(batch_factor(res))),
                 ("conservation_ok", Json::Bool(res.conservation_holds())),
             ])
         })

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use quartz::json::Json;
 
-use crate::exp::{ExpCtx, ExpFailure, Experiment};
+use crate::exp::{ExpCtx, ExpFailure, ExpReport, Experiment};
 use crate::manifest::{ExperimentRecord, Manifest, RunStatus};
 
 /// How a `repro` run should execute.
@@ -34,13 +34,13 @@ pub struct RunOptions {
     /// Worker budget per experiment grid (defaults to the host's
     /// available parallelism).
     pub jobs: usize,
-    /// Stop at the first quarantined experiment instead of running the
-    /// remainder of the selection (`--fail-fast`; the default is
-    /// keep-going).
+    /// Stop at the first quarantined or claim-failed experiment instead
+    /// of running the remainder of the selection (`--fail-fast`; the
+    /// default is keep-going).
     pub fail_fast: bool,
     /// Quarantine the named experiment with a deterministic injected
-    /// failure instead of running it (`--inject-fail NAME`; CI uses
-    /// this to exercise the quarantine path on the full grid).
+    /// failure instead of running it (`--inject-fail NAME`; the CLI
+    /// tests use this to exercise the quarantine path end to end).
     pub inject_fail: Option<String>,
 }
 
@@ -81,7 +81,7 @@ fn install_exp_failure_hook_filter() {
 /// status. A structured [`ExpFailure`] (thrown by `ExpCtx::grid` for a
 /// failing sweep point) keeps its point label; any other payload is
 /// rendered as a plain message.
-fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<crate::exp::ExpReport, RunStatus> {
+fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<ExpReport, RunStatus> {
     match panic::catch_unwind(AssertUnwindSafe(|| exp.run(ctx))) {
         Ok(report) => Ok(report),
         Err(payload) => Err(if let Some(f) = payload.downcast_ref::<ExpFailure>() {
@@ -115,8 +115,10 @@ fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<crate::exp::Exp
 /// fault) is **quarantined**: its failure is recorded in the manifest
 /// (`status: failed`), nothing is saved for it, and — unless
 /// `fail_fast` — the remaining experiments still run with their
-/// console/CSV/JSON output untouched. Callers decide the process exit
-/// code from [`Manifest::any_failed`].
+/// console/CSV/JSON output untouched. An experiment that completes but
+/// states a false claim keeps all its outputs and is recorded as
+/// `status: claim_failed`, which stops `fail_fast` the same way.
+/// Callers decide the process exit code from [`Manifest::any_failed`].
 ///
 /// # Errors
 ///
@@ -143,9 +145,8 @@ pub fn run_experiments(
         };
         record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record.points = ctx.take_timings();
-
-        let mut report = match outcome {
-            Ok(report) => report,
+        record.status = match outcome {
+            Ok(report) => save_report(exp, report, opts, out, &mut record)?,
             Err(status) => {
                 if let RunStatus::Failed { message, point } = &status {
                     match point {
@@ -159,85 +160,121 @@ pub fn run_experiments(
                         None => writeln!(out, "!!! {} QUARANTINED: {}", exp.name(), message)?,
                     }
                 }
-                record.status = status;
-                writeln!(out, "[{} took {:.1}s]\n", exp.name(), record.wall_ms / 1e3)?;
-                manifest.experiments.push(record);
-                if opts.fail_fast {
-                    writeln!(
-                        out,
-                        "fail-fast: stopping after first quarantined experiment"
-                    )?;
-                    break;
-                }
-                continue;
+                status
             }
         };
-
-        for table in &report.tables {
-            write!(out, "{}", table.render())?;
-            table.save_csv(&opts.out_dir)?;
-            record.tables.push(table.slug());
-        }
-        for note in &report.notes {
-            writeln!(out, "{note}")?;
-        }
-
-        // Per-experiment JSON rows: the machine-readable twin of the
-        // console tables plus exported emulator statistics. No wall
-        // times and no job count — byte-identical across runs.
-        let mut row = Json::obj(vec![
-            ("experiment", Json::str(exp.name())),
-            ("paper_ref", Json::str(exp.paper_ref())),
-            ("description", Json::str(exp.description())),
-            ("quick", Json::Bool(opts.quick)),
-            ("deterministic", Json::Bool(exp.deterministic())),
-            (
-                "tables",
-                Json::Arr(report.tables.iter().map(|t| t.to_json()).collect()),
-            ),
-            (
-                "notes",
-                Json::Arr(report.notes.iter().map(|n| Json::str(n.clone())).collect()),
-            ),
-        ]);
-        if !report.stats.is_empty() {
-            row.push("quartz_stats", Json::Obj(std::mem::take(&mut report.stats)));
-        }
-        std::fs::create_dir_all(&opts.out_dir)?;
-        std::fs::write(
-            opts.out_dir.join(format!("{}.json", exp.name())),
-            row.render() + "\n",
-        )?;
-        for (fname, contents) in &report.benches {
-            std::fs::write(opts.out_dir.join(fname), contents)?;
-            record.benches.push(fname.clone());
-        }
-
         writeln!(out, "[{} took {:.1}s]\n", exp.name(), record.wall_ms / 1e3)?;
+        let failed = record.status.is_failed();
         manifest.experiments.push(record);
+        if failed && opts.fail_fast {
+            writeln!(out, "fail-fast: stopping after first failed experiment")?;
+            break;
+        }
     }
 
     if selection.len() > 1 {
         write!(out, "{}", manifest.summary_table().render())?;
     }
-    if manifest.any_failed() {
-        let failed: Vec<&str> = manifest
+    for (status, label) in [("failed", "quarantined"), ("claim_failed", "claims failed")] {
+        let names: Vec<&str> = manifest
             .experiments
             .iter()
-            .filter(|e| e.status.is_failed())
+            .filter(|e| e.status.name() == status)
             .map(|e| e.name.as_str())
             .collect();
-        writeln!(out, "quarantined: {}", failed.join(", "))?;
+        if !names.is_empty() {
+            writeln!(out, "{label}: {}", names.join(", "))?;
+        }
     }
     let path = manifest.save(&opts.out_dir)?;
     writeln!(out, "manifest: {}", path.display())?;
     Ok(manifest)
 }
 
+/// Renders a completed experiment's report to `out` (tables, notes,
+/// then claims) and saves its CSVs, JSON row file and bench files,
+/// recording their names. Returns `ClaimFailed` listing every false
+/// claim, or `Ok`.
+fn save_report(
+    exp: &dyn Experiment,
+    mut report: ExpReport,
+    opts: &RunOptions,
+    out: &mut dyn Write,
+    record: &mut ExperimentRecord,
+) -> io::Result<RunStatus> {
+    for table in &report.tables {
+        write!(out, "{}", table.render())?;
+        table.save_csv(&opts.out_dir)?;
+        record.tables.push(table.slug());
+    }
+    for note in &report.notes {
+        writeln!(out, "{note}")?;
+    }
+    for claim in &report.claims {
+        let verdict = if claim.holds {
+            "claim ok"
+        } else {
+            "CLAIM FAILED"
+        };
+        writeln!(out, "{verdict}: {}", claim.what)?;
+    }
+
+    // Per-experiment JSON rows: the machine-readable twin of the
+    // console tables plus exported emulator statistics. No wall
+    // times and no job count — byte-identical across runs.
+    let mut row = Json::obj(vec![
+        ("experiment", Json::str(exp.name())),
+        ("paper_ref", Json::str(exp.paper_ref())),
+        ("description", Json::str(exp.description())),
+        ("quick", Json::Bool(opts.quick)),
+        ("deterministic", Json::Bool(exp.deterministic())),
+        (
+            "tables",
+            Json::Arr(report.tables.iter().map(|t| t.to_json()).collect()),
+        ),
+        (
+            "notes",
+            Json::Arr(report.notes.iter().map(|n| Json::str(n.clone())).collect()),
+        ),
+    ]);
+    if !report.claims.is_empty() {
+        let claims = report.claims.iter().map(|c| {
+            Json::obj(vec![
+                ("holds", Json::Bool(c.holds)),
+                ("what", Json::str(c.what.clone())),
+            ])
+        });
+        row.push("claims", Json::Arr(claims.collect()));
+    }
+    if !report.stats.is_empty() {
+        row.push("quartz_stats", Json::Obj(std::mem::take(&mut report.stats)));
+    }
+    std::fs::create_dir_all(&opts.out_dir)?;
+    std::fs::write(
+        opts.out_dir.join(format!("{}.json", exp.name())),
+        row.render() + "\n",
+    )?;
+    for (fname, contents) in &report.benches {
+        std::fs::write(opts.out_dir.join(fname), contents)?;
+        record.benches.push(fname.clone());
+    }
+
+    let failed: Vec<String> = report
+        .claims
+        .into_iter()
+        .filter(|c| !c.holds)
+        .map(|c| c.what)
+        .collect();
+    Ok(if failed.is_empty() {
+        RunStatus::Ok
+    } else {
+        RunStatus::ClaimFailed { claims: failed }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::ExpReport;
     use crate::report::Table;
 
     struct Demo;
@@ -366,22 +403,103 @@ mod tests {
 
     #[test]
     fn fail_fast_stops_after_first_quarantine() {
-        let dir = std::env::temp_dir().join("quartz_bench_harness_failfast_test");
+        // A quarantined experiment and a failed claim both stop the run.
+        for (first, banner) in [
+            (&Exploder as &dyn Experiment, "QUARANTINED"),
+            (&Claimer, "CLAIM FAILED"),
+        ] {
+            let dir = std::env::temp_dir().join("quartz_bench_harness_failfast_test");
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = RunOptions {
+                quick: true,
+                out_dir: dir.clone(),
+                jobs: 1,
+                fail_fast: true,
+                ..RunOptions::default()
+            };
+            let mut buf = Vec::new();
+            let m = run_experiments(&[first, &Demo], &opts, &mut buf).unwrap();
+            let console = String::from_utf8(buf).unwrap();
+            assert!(console.contains(banner), "{console}");
+            assert!(console.contains("fail-fast: stopping"), "{console}");
+            assert!(!console.contains("=== demo"), "{console}");
+            assert_eq!(m.experiments.len(), 1);
+            assert!(m.any_failed());
+        }
+    }
+
+    struct Claimer;
+    impl Experiment for Claimer {
+        fn name(&self) -> &'static str {
+            "claimer"
+        }
+        fn description(&self) -> &'static str {
+            "a test-only experiment stating one true and one false claim"
+        }
+        fn paper_ref(&self) -> &'static str {
+            "§0"
+        }
+        fn run(&self, _ctx: &ExpCtx) -> ExpReport {
+            let mut t = Table::new("Claimer table", &["v"]);
+            t.row(&["1".into()]);
+            let mut r = ExpReport::with_table(t);
+            r.note("a note")
+                .claim(true, "rows 1 == 1")
+                .claim(false, "errors 7 == 0")
+                .bench_file("BENCH_claimer.json", "{}\n".into());
+            r
+        }
+    }
+
+    #[test]
+    fn false_claim_saves_outputs_and_marks_claim_failed() {
+        let dir = std::env::temp_dir().join("quartz_bench_harness_claim_test");
         let _ = std::fs::remove_dir_all(&dir);
         let opts = RunOptions {
             quick: true,
             out_dir: dir.clone(),
             jobs: 1,
-            fail_fast: true,
             ..RunOptions::default()
         };
         let mut buf = Vec::new();
-        let m = run_experiments(&[&Exploder, &Demo], &opts, &mut buf).unwrap();
+        let m = run_experiments(&[&Claimer, &Demo], &opts, &mut buf).unwrap();
         let console = String::from_utf8(buf).unwrap();
-        assert!(console.contains("fail-fast: stopping"));
-        assert!(!console.contains("=== demo"));
-        assert_eq!(m.experiments.len(), 1);
+        assert!(
+            console.contains("a note\nclaim ok: rows 1 == 1\nCLAIM FAILED: errors 7 == 0\n"),
+            "claims print after the notes: {console}"
+        );
+        assert!(console.contains("claims failed: claimer\n"), "{console}");
+        assert!(!console.contains("quarantined:"), "{console}");
+        // The rest of the selection still ran.
+        assert!(console.contains("=== demo"), "{console}");
+
+        // Every output is saved, and the row file carries the claims.
+        assert!(dir.join("claimer_table.csv").exists());
+        assert!(dir.join("BENCH_claimer.json").exists());
+        let rows = std::fs::read_to_string(dir.join("claimer.json")).unwrap();
+        assert!(
+            rows.contains(
+                "\"notes\":[\"a note\"],\"claims\":[{\"holds\":true,\"what\":\"rows 1 == 1\"},\
+                 {\"holds\":false,\"what\":\"errors 7 == 0\"}]"
+            ),
+            "{rows}"
+        );
+
         assert!(m.any_failed());
+        assert_eq!(
+            m.experiments[0].status,
+            RunStatus::ClaimFailed {
+                claims: vec!["errors 7 == 0".into()],
+            }
+        );
+        assert_eq!(m.experiments[0].benches, vec!["BENCH_claimer.json"]);
+        assert_eq!(m.experiments[1].status, RunStatus::Ok);
+        let manifest_body = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(
+            manifest_body
+                .contains("\"status\":\"claim_failed\",\"failed_claims\":[\"errors 7 == 0\"]"),
+            "{manifest_body}"
+        );
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! repro --list
 //! ```
 //!
-//! Exit status: `0` when every selected experiment completed, `1` when
-//! any experiment was quarantined (or on I/O error), `2` on usage
-//! errors. `--keep-going` (the default) runs the rest of the selection
-//! past a quarantined experiment; `--fail-fast` stops at the first.
+//! Exit status: `0` when every selected experiment completed with all
+//! its claims holding, `1` when any experiment was quarantined or
+//! failed a claim (or on I/O error), `2` on usage errors.
+//! `--keep-going` (the default) runs the rest of the selection past a
+//! failed experiment; `--fail-fast` stops at the first.
 //!
 //! The experiment set lives in `quartz_bench::registry`; `--list` prints
 //! it. Selection, the parallel grid runner, and result/manifest writing
@@ -29,7 +30,9 @@ fn usage() {
          [--keep-going | --fail-fast] [--inject-fail NAME] <experiment>... | all"
     );
     println!("       repro --list");
-    println!("exit status: 0 all ok, 1 any experiment quarantined, 2 usage error");
+    println!(
+        "exit status: 0 all ok, 1 any experiment quarantined or a claim failed, 2 usage error"
+    );
     println!(
         "experiments: {}",
         registry::all()
@@ -61,10 +64,13 @@ fn main() {
                     eprintln!("--jobs needs a number");
                     std::process::exit(2);
                 });
-                opts.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a number, got '{v}'");
-                    std::process::exit(2);
-                });
+                opts.jobs = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => {
+                        eprintln!("--jobs needs a positive number, got '{v}'");
+                        std::process::exit(2);
+                    }
+                };
             }
             "--filter" => {
                 filter = Some(args.next().unwrap_or_else(|| {
@@ -97,14 +103,6 @@ fn main() {
         Ok(sel) => sel,
         Err(err) => {
             eprintln!("{err}");
-            eprintln!(
-                "known: {}",
-                registry::all()
-                    .iter()
-                    .map(|e| e.name())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
             std::process::exit(2);
         }
     };

@@ -19,15 +19,21 @@ use crate::report::{f, Table};
 
 /// Outcome of one executed experiment.
 ///
-/// `Failed` quarantines the experiment: its tables are not rendered or
-/// saved, the rest of the selection still runs (unless `--fail-fast`),
-/// and the `repro` process exits non-zero.
+/// Anything but `Ok` fails the run: the rest of the selection still
+/// runs (unless `--fail-fast`) and the `repro` process exits non-zero.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunStatus {
-    /// The experiment completed and its outputs were saved.
+    /// The experiment completed, its outputs were saved, and every
+    /// claim it stated holds.
     Ok,
+    /// The experiment completed and its outputs were saved, but these
+    /// claims (their `what` texts) do not hold.
+    ClaimFailed {
+        /// The failed claims, in the order the experiment stated them.
+        claims: Vec<String>,
+    },
     /// The experiment unwound (simulation failure, assertion, injected
-    /// fault) and was quarantined.
+    /// fault) and was quarantined: nothing was rendered or saved.
     Failed {
         /// Rendered failure description (e.g. a `SimFailure` message
         /// with the deadlock cycle named).
@@ -38,9 +44,18 @@ pub enum RunStatus {
 }
 
 impl RunStatus {
-    /// `true` for [`RunStatus::Failed`].
+    /// `true` for anything but [`RunStatus::Ok`].
     pub fn is_failed(&self) -> bool {
-        matches!(self, RunStatus::Failed { .. })
+        *self != RunStatus::Ok
+    }
+
+    /// The manifest's `status` string.
+    pub fn name(&self) -> &'static str {
+        match self {
+            RunStatus::Ok => "ok",
+            RunStatus::ClaimFailed { .. } => "claim_failed",
+            RunStatus::Failed { .. } => "failed",
+        }
     }
 }
 
@@ -129,10 +144,14 @@ impl ExperimentRecord {
                 Json::Arr(self.benches.iter().map(|b| Json::str(b.clone())).collect()),
             );
         }
+        obj.push("status", Json::str(self.status.name()));
         match &self.status {
-            RunStatus::Ok => obj.push("status", Json::str("ok")),
+            RunStatus::Ok => {}
+            RunStatus::ClaimFailed { claims } => obj.push(
+                "failed_claims",
+                Json::Arr(claims.iter().map(|c| Json::str(c.clone())).collect()),
+            ),
             RunStatus::Failed { message, point } => {
-                obj.push("status", Json::str("failed"));
                 obj.push(
                     "failure",
                     Json::obj(vec![
@@ -183,8 +202,8 @@ impl Manifest {
         self.experiments.iter().map(|e| e.wall_ms).sum()
     }
 
-    /// Whether any experiment in the run was quarantined (`repro` exits
-    /// non-zero when this is `true`).
+    /// Whether any experiment in the run was quarantined or failed a
+    /// claim (`repro` exits non-zero when this is `true`).
     pub fn any_failed(&self) -> bool {
         self.experiments.iter().any(|e| e.status.is_failed())
     }
@@ -192,10 +211,11 @@ impl Manifest {
     /// The manifest as a JSON value. `schema` versions the whole run's
     /// output format, since the manifest indexes every file a run
     /// writes. Schema 2: exported `quartz_stats` carry every field,
-    /// zeros included.
+    /// zeros included. Schema 3: row files carry `claims`, and a status
+    /// may be `claim_failed` with its `failed_claims`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::Int(2)),
+            ("schema", Json::Int(3)),
             ("quick", Json::Bool(self.quick)),
             ("jobs", Json::Int(self.jobs as u64)),
             ("host_parallelism", Json::Int(self.host_parallelism as u64)),
@@ -232,11 +252,7 @@ impl Manifest {
         for e in by_time {
             t.row(&[
                 e.name.clone(),
-                if e.status.is_failed() {
-                    "FAILED".to_string()
-                } else {
-                    "ok".to_string()
-                },
+                e.status.name().to_string(),
                 f(e.wall_ms / 1e3, 2),
                 e.points.len().to_string(),
                 f(e.wall_ms / total * 100.0, 1),
@@ -291,7 +307,7 @@ mod tests {
         m.experiments.push(record("fig8", 10.0));
         let j = m.to_json().render();
         for key in [
-            "\"schema\":2",
+            "\"schema\":3",
             "\"quick\":true",
             "\"jobs\":4",
             "\"host_parallelism\":",
@@ -335,7 +351,7 @@ mod tests {
         assert!(m.to_json().render().contains("\"point\":null"));
         // Summary table carries a status column.
         let t = m.summary_table();
-        assert!(t.rows().iter().any(|r| r[1] == "FAILED"));
+        assert!(t.rows().iter().any(|r| r[1] == "failed"));
         assert!(t.rows().iter().any(|r| r[1] == "ok"));
     }
 
