@@ -23,8 +23,8 @@ mod site {
 /// Each seam keeps its own atomic sequence number; a decision is a pure
 /// hash of `(plan.seed, site, sequence)`, so the stream of decisions is
 /// a deterministic function of the plan and the order of consultations —
-/// which the threadsim engine's permit-handoff serialization makes
-/// deterministic in turn, independent of `--jobs` or OS scheduling.
+/// which the threadsim engine, running one simulated thread at a time,
+/// makes deterministic in turn, independent of `--jobs` or OS scheduling.
 pub struct PlanInjector {
     plan: FaultPlan,
     pmu_seq: AtomicU64,

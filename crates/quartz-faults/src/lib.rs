@@ -14,8 +14,8 @@
 //! Every decision is a pure function of `(seed, seam, sequence number)`
 //! via [`quartz_platform::seed::splitmix64`] — no OS entropy, no wall
 //! clock — so a faulted run is byte-identical across repeats and
-//! `--jobs` counts: the threadsim engine serializes execution (permit
-//! handoff), which makes the per-seam sequence numbers themselves
+//! `--jobs` counts: the threadsim engine runs one simulated thread at a
+//! time, which makes the per-seam sequence numbers themselves
 //! deterministic.
 //!
 //! ```

@@ -48,9 +48,9 @@ pub enum TimerFault {
 ///
 /// Implementations must be deterministic functions of their own internal
 /// state: the platform guarantees it consults each seam in a
-/// deterministic order under the threadsim engine (permit-handoff
-/// serializes execution), so a seeded injector yields byte-identical
-/// runs at any `--jobs` count.
+/// deterministic order under the threadsim engine (it runs one
+/// simulated thread at a time), so a seeded injector yields
+/// byte-identical runs at any `--jobs` count.
 pub trait FaultInjector: Send + Sync {
     /// Should this `rdpmc` read fail transiently? The reader is expected
     /// to retry with backoff; persistent `true` simulates a dead counter.

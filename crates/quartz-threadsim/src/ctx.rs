@@ -19,7 +19,6 @@ use crate::engine::{
     ThreadId, TimedWait, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
 };
 use crate::failure::SimFailure;
-use crate::permit::Permit;
 use crate::{AtomicId, BarrierId, CondId, MutexId, SimAtomicPtr, SimAtomicU64};
 
 /// "Infinitely" far in the future (no yield deadline).
@@ -38,7 +37,6 @@ pub struct ThreadCtx {
     deadline: SimTime,
     next_timer: SimTime,
     pending: Arc<AtomicBool>,
-    permit: Arc<Permit>,
     in_hook: bool,
     /// Wait time that absorbs spin delay: a POSIX signal interrupts a
     /// blocked `pthread_mutex_lock`, so a delay injected by the signal
@@ -58,7 +56,6 @@ impl ThreadCtx {
         id: ThreadId,
         core: usize,
         pending: Arc<AtomicBool>,
-        permit: Arc<Permit>,
     ) -> Self {
         ThreadCtx {
             shared,
@@ -68,7 +65,6 @@ impl ThreadCtx {
             deadline: FAR_FUTURE,
             next_timer: FAR_FUTURE,
             pending,
-            permit,
             in_hook: false,
             spin_credit: Duration::ZERO,
             cas_weak_seq: 0,
@@ -132,10 +128,12 @@ impl ThreadCtx {
         self.next_timer = next_timer;
     }
 
-    /// Parks this thread until the scheduler hands control back.
+    /// Suspends this thread's coroutine until the scheduler loop
+    /// resumes it with the token. The caller has already granted the
+    /// token to the next thread (or aborted the run).
     fn park(&mut self, st: MutexGuard<'_, SchedState>) {
         drop(st);
-        self.permit.wait();
+        crate::coro::suspend();
         self.resume_bookkeeping();
     }
 
@@ -233,7 +231,7 @@ impl ThreadCtx {
                 self.deadline = c + shared.quantum;
             }
             Some((i, _)) => {
-                st.threads[i].permit.grant();
+                st.granted = Some(i);
                 self.park(st);
             }
         }
@@ -478,12 +476,9 @@ impl ThreadCtx {
         id
     }
 
-    /// Waits for `thread` to finish, then reaps its host OS thread.
-    ///
-    /// Reaping keeps host threads exiting in simulated order: a root
-    /// thread never exits before the workers it joined, so glibc's
-    /// arena free list hands the next run's root the root's own large
-    /// arena rather than a worker's small one (DESIGN.md §19).
+    /// Waits for `thread` to finish. When `join` returns, the joined
+    /// thread's body has returned, its locals have been dropped, and its
+    /// coroutine stack has been freed (DESIGN.md §19).
     pub fn join(&mut self, thread: ThreadId) {
         self.op_boundary();
         let shared = Arc::clone(&self.shared);
@@ -497,15 +492,6 @@ impl ThreadCtx {
             st.threads[self.id.0].clock = self.clock;
             schedule_next(&shared, &mut st);
             self.park(st);
-            st = shared.state.lock();
-        }
-        let handle = st.handles[thread.0].take();
-        drop(st);
-        // The finished thread takes no lock after its final hand-off,
-        // so this join cannot wait on us. Its body already returned
-        // under `catch_unwind`, so the result carries no panic.
-        if let Some(h) = handle {
-            let _ = h.join();
         }
     }
 

@@ -3,9 +3,8 @@
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, RwLock};
 use quartz_memsim::MemorySystem;
@@ -13,10 +12,10 @@ use quartz_platform::time::{Duration, SimTime};
 use quartz_platform::Platform;
 
 use crate::channel::SimChannel;
+use crate::coro::Coroutine;
 use crate::ctx::ThreadCtx;
 use crate::failure::{deadlock_report, SimFailure};
 use crate::hooks::{Hooks, NoHooks};
-use crate::permit::{Permit, RunningEngine};
 use crate::timer::{TimerApi, TimerRec};
 use crate::{ChannelId, CondId, MutexId};
 
@@ -83,10 +82,16 @@ pub(crate) struct TimedWait {
     pub expired: bool,
 }
 
+/// A simulated thread's body, boxed until its first run.
+pub(crate) type Body = Box<dyn FnOnce(&mut ThreadCtx) + Send>;
+
 pub(crate) struct ThreadRec {
     pub clock: SimTime,
     pub status: Status,
-    pub permit: Arc<Permit>,
+    /// The core the thread is bound to.
+    pub core: usize,
+    /// The body, until the thread first holds the token.
+    pub body: Option<Body>,
     pub pending_signal: Arc<AtomicBool>,
     pub joiners: Vec<usize>,
     pub finish_time: SimTime,
@@ -197,10 +202,10 @@ pub(crate) struct SchedState {
     pub rr_core: usize,
     pub shutdown: bool,
     pub failure: Option<SimFailure>,
-    /// Host threads by simulated thread id; `None` once reaped by a
-    /// simulated `join`.
-    pub handles: Vec<Option<JoinHandle<()>>>,
-    pub done_tx: Option<Sender<()>>,
+    /// The thread the last hand-off granted the token to, which the
+    /// scheduler loop resumes next; `None` when the run is done or
+    /// aborted.
+    pub granted: Option<usize>,
     pub cas_spurious: Option<SpuriousCas>,
     pub livelock_threshold: u64,
     /// Buffers [`fire_timer`] lends each firing, kept to avoid two
@@ -296,8 +301,7 @@ impl Engine {
                     rr_core: 0,
                     shutdown: false,
                     failure: None,
-                    handles: Vec::new(),
-                    done_tx: None,
+                    granted: None,
                     cas_spurious: None,
                     livelock_threshold: DEFAULT_LIVELOCK_THRESHOLD,
                     timer_live: Vec::new(),
@@ -316,11 +320,12 @@ impl Engine {
 
     /// Arms (or disarms, with `None`) the host-side hang watchdog.
     ///
-    /// When armed, [`Engine::try_run`] polls for completion with the
-    /// given host-time budget: if a full budget elapses with **zero
-    /// scheduler hand-offs**, the run fails with [`SimFailure::Hang`]
-    /// naming the thread that holds the scheduler token. Detection
-    /// latency is at most two budgets.
+    /// When armed, [`Engine::try_run`] runs the simulated threads on a
+    /// helper OS thread and polls for completion with the given
+    /// host-time budget: if a full budget elapses with **zero scheduler
+    /// hand-offs**, the run fails with [`SimFailure::Hang`] naming the
+    /// thread that holds the scheduler token. Detection latency is at
+    /// most two budgets.
     ///
     /// The budget bounds *scheduler-quiescent host time*, not total run
     /// time: any mutex/join/barrier hand-off or thread finish resets
@@ -486,12 +491,16 @@ impl Engine {
     /// simulation until every thread has finished, containing every
     /// failure mode as a typed [`SimFailure`] instead of panicking.
     ///
-    /// On failure the engine aborts the run, unwinds and reaps every
-    /// simulated thread it can reach (a thread hung in a pure-host loop
-    /// is detached instead, see [`SimFailure::Hang`]), and invokes
-    /// [`Hooks::on_sim_failure`] so an attached emulator can reap its
-    /// per-thread state — the shared runtime stays usable for
-    /// subsequent runs in the same process.
+    /// The simulated threads run as coroutines on the calling OS thread
+    /// (DESIGN.md §19); with the watchdog armed they run on one helper
+    /// OS thread instead, which the caller watches.
+    ///
+    /// On failure the engine aborts the run, unwinds every simulated
+    /// thread it suspended (with the watchdog armed, a thread hung in a
+    /// pure-host loop keeps its helper OS thread, which is detached; see
+    /// [`SimFailure::Hang`]), and invokes [`Hooks::on_sim_failure`] so
+    /// an attached emulator can reap its per-thread state — the shared
+    /// runtime stays usable for subsequent runs in the same process.
     ///
     /// # Errors
     ///
@@ -506,50 +515,17 @@ impl Engine {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         install_shutdown_hook_filter();
-        let _running = RunningEngine::enter();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        {
-            let mut st = self.shared.state.lock();
-            st.done_tx = Some(done_tx);
-        }
         let root_id = spawn_thread(&self.shared, None, SimTime::ZERO, root);
         debug_assert_eq!(root_id.0, 0);
-        // Kick the scheduler.
+        // Grant the root the token.
         {
             let mut st = self.shared.state.lock();
             schedule_next(&self.shared, &mut st);
         }
         let watchdog = *self.shared.watchdog.lock();
-        let hung = self.wait_done(&done_rx, watchdog);
-
-        // Shut down any threads still parked (failure paths) and join.
-        let handles = {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.shutdown_flag.store(true, Ordering::Release);
-            for t in &st.threads {
-                if t.status != Status::Finished {
-                    t.permit.grant();
-                }
-            }
-            std::mem::take(&mut st.handles)
-        };
-        for (i, h) in handles.into_iter().enumerate() {
-            let Some(h) = h else {
-                continue; // reaped by a simulated join
-            };
-            if hung == Some(i) {
-                // The hung thread may be spinning in a pure-host loop
-                // that never reaches an operation boundary; joining it
-                // could block the host forever — exactly the hang we
-                // just contained. Detach it: if it ever reaches a
-                // boundary it observes `shutdown_flag` and unwinds
-                // silently; if not, the OS thread leaks (documented in
-                // DESIGN.md §13).
-                drop(h);
-                continue;
-            }
-            let _ = h.join();
+        match watchdog {
+            None => drive(&self.shared),
+            Some(budget) => self.drive_watched(budget),
         }
 
         let failure = self.shared.state.lock().failure.take();
@@ -575,48 +551,58 @@ impl Engine {
         })
     }
 
-    /// Blocks until the scheduler signals completion, running the hang
-    /// watchdog when armed. Returns the index of a hung thread whose
-    /// handle must be detached rather than joined.
-    fn wait_done(
-        &self,
-        done_rx: &Receiver<()>,
-        watchdog: Option<std::time::Duration>,
-    ) -> Option<usize> {
-        let Some(budget) = watchdog else {
-            if done_rx.recv().is_err() {
-                // The scheduler dropped the done channel without ever
-                // signalling completion — a host-side engine fault.
-                // Report it as a structured failure instead of a second
-                // panic that would shadow the root cause.
-                let mut st = self.shared.state.lock();
-                fail(
-                    &self.shared,
-                    &mut st,
-                    SimFailure::SchedulerLost {
-                        detail: "done channel closed without a completion signal".into(),
-                    },
-                );
-            }
-            return None;
-        };
-        // Never spin at zero: a degenerate budget would fire before the
+    /// Runs [`drive`] on a helper OS thread while this one runs the hang
+    /// watchdog. On a hang the abort reaches a thread spinning in virtual
+    /// time at its next operation boundary, and the loop then unwinds
+    /// the rest; a thread in a pure-host loop never gets there, so after
+    /// one more budget the helper is detached (DESIGN.md §13).
+    fn drive_watched(&self, budget: std::time::Duration) {
+        // Never poll at zero: a degenerate budget would fire before the
         // root thread is even scheduled.
         let budget = budget.max(std::time::Duration::from_millis(1));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let shared = Arc::clone(&self.shared);
+        // INVARIANT: OS thread creation is a host-fatal resource failure
+        // (the process is out of threads/memory); there is no simulated
+        // state to report against yet, so panicking here is deliberate.
+        let helper = std::thread::Builder::new()
+            .name("sim-engine".into())
+            .spawn(move || {
+                drive(&shared);
+                let _ = done_tx.send(());
+            })
+            .expect("spawn the engine's helper thread");
+        if self.wait_done(&done_rx, budget) && done_rx.recv_timeout(budget).is_err() {
+            drop(helper); // detached: it may never finish
+            return;
+        }
+        // The loop has returned (or its thread died, which `wait_done`
+        // reported as `SchedulerLost`), so this join does not block.
+        let _ = helper.join();
+    }
+
+    /// Blocks until the helper's loop returns, running the hang watchdog
+    /// with `budget`. Returns `true` when it declared a hang.
+    fn wait_done(&self, done_rx: &Receiver<()>, budget: std::time::Duration) -> bool {
         let mut last = self.shared.progress.load(Ordering::Acquire);
         loop {
             match done_rx.recv_timeout(budget) {
-                Ok(()) => return None,
+                Ok(()) => return false,
                 Err(RecvTimeoutError::Disconnected) => {
+                    // The helper died without finishing its loop — a
+                    // host-side engine fault. Report it as a structured
+                    // failure instead of a second panic that would
+                    // shadow the root cause.
                     let mut st = self.shared.state.lock();
                     fail(
                         &self.shared,
                         &mut st,
                         SimFailure::SchedulerLost {
-                            detail: "done channel closed without a completion signal".into(),
+                            detail: "the engine's helper thread exited without finishing the run"
+                                .into(),
                         },
                     );
-                    return None;
+                    return false;
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     let now = self.shared.progress.load(Ordering::Acquire);
@@ -628,7 +614,7 @@ impl Engine {
                     // completion signal may still have raced the
                     // timeout — drain it before declaring a hang.
                     if done_rx.try_recv().is_ok() {
-                        return None;
+                        return false;
                     }
                     let holder = self.shared.running.load(Ordering::Acquire);
                     let mut st = self.shared.state.lock();
@@ -646,7 +632,7 @@ impl Engine {
                             sim_time,
                         },
                     );
-                    return Some(holder);
+                    return true;
                 }
             }
         }
@@ -659,7 +645,78 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Creates the bookkeeping and OS thread for a new simulated thread.
+/// The scheduler loop: runs the engine's simulated threads as coroutines
+/// on the calling OS thread, resuming whichever thread the last hand-off
+/// granted the token to, until none is granted. Then it unwinds every
+/// thread still suspended and drops the bodies of threads never started.
+fn drive(shared: &Arc<EngineShared>) {
+    let mut coros: Vec<Option<Coroutine>> = Vec::new();
+    loop {
+        let granted = {
+            let mut st = shared.state.lock();
+            if st.shutdown {
+                None
+            } else {
+                st.granted.take()
+            }
+        };
+        let Some(id) = granted else {
+            break;
+        };
+        if coros.len() <= id {
+            coros.resize_with(id + 1, || None);
+        }
+        let co = coros[id].get_or_insert_with(|| start(shared, id));
+        if co.resume() {
+            coros[id] = None;
+        }
+    }
+    // Shut down any thread still suspended (failure paths).
+    {
+        let mut st = shared.state.lock();
+        if st.failure.is_none() && st.live > 0 {
+            let live = st.live;
+            fail(
+                shared,
+                &mut st,
+                SimFailure::SchedulerLost {
+                    detail: format!("no thread holds the token, yet {live} threads are live"),
+                },
+            );
+        }
+        st.shutdown = true;
+        shared.shutdown_flag.store(true, Ordering::Release);
+    }
+    for co in coros.iter_mut().flatten() {
+        // Each resume unwinds `ShutdownSignal` from the thread's
+        // suspension point; only a body that catches it and blocks
+        // again needs another.
+        while !co.resume() {}
+    }
+    let unstarted: Vec<Body> = {
+        let mut st = shared.state.lock();
+        st.threads
+            .iter_mut()
+            .filter_map(|t| t.body.take())
+            .collect()
+    };
+    drop(unstarted);
+}
+
+/// The coroutine of thread `id`, created when it first holds the token.
+fn start(shared: &Arc<EngineShared>, id: usize) -> Coroutine {
+    let (body, core, pending) = {
+        let mut st = shared.state.lock();
+        let t = &mut st.threads[id];
+        let body = t.body.take().expect("a thread's body starts once");
+        (body, t.core, Arc::clone(&t.pending_signal))
+    };
+    let shared = Arc::clone(shared);
+    Coroutine::new(Box::new(move || runner(shared, id, core, pending, body)))
+}
+
+/// Creates the bookkeeping for a new simulated thread; its coroutine
+/// starts when the scheduler first grants it the token.
 pub(crate) fn spawn_thread<F>(
     shared: &Arc<EngineShared>,
     core: Option<usize>,
@@ -669,7 +726,7 @@ pub(crate) fn spawn_thread<F>(
 where
     F: FnOnce(&mut ThreadCtx) + Send + 'static,
 {
-    let permit = Arc::new(Permit::new());
+    let body: Body = Box::new(body);
     let mut st = shared.state.lock();
     let id = st.threads.len();
     let core = core.unwrap_or_else(|| {
@@ -677,51 +734,25 @@ where
         st.rr_core += 1;
         c
     });
-    let pending = Arc::new(AtomicBool::new(false));
     st.threads.push(ThreadRec {
         clock: start_clock,
         status: Status::Runnable,
-        permit: Arc::clone(&permit),
-        pending_signal: Arc::clone(&pending),
+        core,
+        body: Some(body),
+        pending_signal: Arc::new(AtomicBool::new(false)),
         joiners: Vec::new(),
         finish_time: SimTime::ZERO,
         timed_wait: None,
         cas_fail_streak: 0,
     });
     st.live += 1;
-
-    let shared2 = Arc::clone(shared);
-    // INVARIANT: OS thread creation is a host-fatal resource failure
-    // (the process is out of threads/memory); there is no simulated
-    // state to report against yet, so panicking here is deliberate.
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-{id}"))
-        .spawn(move || runner(shared2, id, core, pending, permit, body))
-        .expect("spawn simulated thread");
-    // Still under the scheduler lock, so no grant can precede this.
-    st.threads[id].permit.set_waiter(handle.thread().clone());
-    st.handles.push(Some(handle));
     ThreadId(id)
 }
 
-fn runner<F>(
-    shared: Arc<EngineShared>,
-    id: usize,
-    core: usize,
-    pending: Arc<AtomicBool>,
-    permit: Arc<Permit>,
-    body: F,
-) where
-    F: FnOnce(&mut ThreadCtx) + Send + 'static,
-{
-    // Wait to be scheduled for the first time.
-    permit.wait();
-    if shared.state.lock().shutdown {
-        return;
-    }
-    let mut ctx = ThreadCtx::new(Arc::clone(&shared), ThreadId(id), core, pending, permit);
-    ctx.resume_bookkeeping();
+fn runner(shared: Arc<EngineShared>, id: usize, core: usize, pending: Arc<AtomicBool>, body: Body) {
+    let mut ctx = ThreadCtx::new(Arc::clone(&shared), ThreadId(id), core, pending);
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        ctx.resume_bookkeeping();
         ctx.dispatch_thread_start();
         body(&mut ctx);
         ctx.dispatch_thread_exit();
@@ -792,12 +823,8 @@ pub(crate) fn schedule_next(shared: &Arc<EngineShared>, st: &mut SchedState) {
         .min_by_key(|(i, t)| (t.clock, *i))
         .map(|(i, _)| i);
     match next {
-        Some(i) => st.threads[i].permit.grant(),
-        None if st.live == 0 => {
-            if let Some(tx) = st.done_tx.take() {
-                let _ = tx.send(());
-            }
-        }
+        Some(i) => st.granted = Some(i),
+        None if st.live == 0 => {} // done: the loop finds nothing granted
         None => {
             // Event-driven advance: with every thread blocked, an
             // open-loop source may still inject arrivals that wake a
@@ -1076,18 +1103,13 @@ pub(crate) fn fail(shared: &EngineShared, st: &mut SchedState, failure: SimFailu
     abort_all(shared, st);
 }
 
-/// Wakes every parked thread into shutdown and signals the host.
+/// Stops the run: the scheduler loop resumes no granted thread, a
+/// running thread unwinds at its next operation boundary, and the loop
+/// then unwinds every suspended one.
 pub(crate) fn abort_all(shared: &EngineShared, st: &mut SchedState) {
     st.shutdown = true;
+    st.granted = None;
     shared.shutdown_flag.store(true, Ordering::Release);
-    for t in &st.threads {
-        if t.status != Status::Finished {
-            t.permit.grant();
-        }
-    }
-    if let Some(tx) = st.done_tx.take() {
-        let _ = tx.send(());
-    }
 }
 
 /// Allocates a new mutex.

@@ -51,10 +51,12 @@ pub enum SimFailure {
         /// The hung thread's last published virtual clock.
         sim_time: SimTime,
     },
-    /// The host-side scheduler machinery itself died (e.g. the done
-    /// channel closed without a completion signal). This indicates an
-    /// engine bug, not a workload bug, but is still reported as a typed
-    /// failure so the root cause is not shadowed by a second panic.
+    /// The host-side scheduler machinery itself failed: the scheduler
+    /// loop found no thread to resume while threads were still live, or
+    /// the watchdog's helper OS thread died without finishing the run.
+    /// This indicates an engine bug, not a workload bug, but is still
+    /// reported as a typed failure so the root cause is not shadowed by
+    /// a second panic.
     SchedulerLost {
         /// What was observed.
         detail: String,

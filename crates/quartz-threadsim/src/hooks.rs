@@ -76,13 +76,15 @@ pub trait Hooks: Send + Sync {
     }
 
     /// The run failed ([`Engine::try_run`](crate::Engine::try_run)
-    /// returned `Err`). Invoked on the *host* thread after every
-    /// reachable simulated thread has been joined, with no engine lock
-    /// held — an emulator uses this to reap orphaned per-thread state
-    /// so the shared runtime stays healthy for subsequent runs in the
-    /// same process. A thread detached by the hang watchdog may still
-    /// be running when this fires; reapers must tolerate that (skip
-    /// state they cannot safely claim).
+    /// returned `Err`). Invoked on the OS thread that called `try_run`,
+    /// outside every simulated thread, after each suspended simulated
+    /// thread has unwound and with no engine lock held — an emulator
+    /// uses this to reap orphaned per-thread state so the shared runtime
+    /// stays healthy for subsequent runs in the same process. When the
+    /// hang watchdog detaches the helper OS thread of a body stuck in a
+    /// pure-host loop, that body and the threads suspended beside it
+    /// have not unwound when this fires; reapers must tolerate that
+    /// (skip state they cannot safely claim).
     fn on_sim_failure(&self, failure: &SimFailure) {
         let _ = failure;
     }

@@ -3,11 +3,14 @@
 //!
 //! Workloads are ordinary Rust closures that receive a [`ThreadCtx`] and
 //! issue memory operations, compute, and synchronization through it. Each
-//! simulated thread runs on its own OS thread, but **exactly one runs at a
-//! time**: at every operation boundary the scheduler hands control to the
-//! runnable thread with the smallest virtual clock (with a configurable
-//! lookahead quantum to amortize hand-offs), so every run is bit-for-bit
-//! deterministic regardless of host scheduling.
+//! simulated thread runs as a stackful coroutine on the OS thread that
+//! calls [`Engine::try_run`], and **exactly one runs at a time**: at every
+//! operation boundary the scheduler hands control to the runnable thread
+//! with the smallest virtual clock (with a configurable lookahead quantum
+//! to amortize hand-offs), so every run is bit-for-bit deterministic
+//! regardless of host scheduling. A hand-off is a user-space switch to the
+//! scheduler loop and on to the next thread's stack; the switch lives in
+//! the crate's only unsafe module, `coro` (DESIGN.md §19).
 //!
 //! The engine provides the interposition points the real Quartz obtains
 //! with `LD_PRELOAD` (paper §3.1):
@@ -42,15 +45,16 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod atomics;
 pub mod channel;
+#[allow(unsafe_code)]
+mod coro;
 pub mod ctx;
 pub mod engine;
 pub mod failure;
 pub mod hooks;
-mod permit;
 pub mod timer;
 
 pub use atomics::{AtomicEvent, AtomicOp, AtomicPhase, CasOutcome, SimAtomicPtr, SimAtomicU64};

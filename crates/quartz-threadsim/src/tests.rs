@@ -1,6 +1,6 @@
 //! Engine behaviour tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use quartz_memsim::{MemSimConfig, MemorySystem};
@@ -1347,41 +1347,39 @@ fn successful_modification_resets_the_livelock_streak() {
     assert!(report.is_ok(), "progress prevented the livelock verdict");
 }
 
-/// Counts its host OS thread's exit: a thread-local guard whose
-/// destructor runs as the thread exits. It sleeps first, so a caller
-/// that does not wait for the exit sees the count still low.
-struct HostExit(Arc<AtomicU64>);
+/// Counts its own drop: a local of a simulated thread's body, dropped
+/// when the body returns or unwinds.
+struct LocalDrop(Arc<AtomicU64>);
 
-impl Drop for HostExit {
+impl Drop for LocalDrop {
     fn drop(&mut self) {
-        std::thread::sleep(std::time::Duration::from_millis(20));
         self.0.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-thread_local! {
-    static HOST_EXIT: std::cell::RefCell<Option<HostExit>> = const { std::cell::RefCell::new(None) };
-}
-
-fn count_host_exit(exits: &Arc<AtomicU64>) {
-    HOST_EXIT.with(|g| *g.borrow_mut() = Some(HostExit(Arc::clone(exits))));
-}
-
 #[test]
 fn join_reaps_the_host_thread() {
-    let exits = Arc::new(AtomicU64::new(0));
-    let seen = Arc::clone(&exits);
+    // No OS thread is left to reap: when `join` returns, the joined body
+    // has returned, its locals have dropped, and its stack is freed.
+    let drops = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&drops);
     engine(Architecture::IvyBridge).run(move |ctx| {
-        let child_exits = Arc::clone(&seen);
+        let child_drops = Arc::clone(&seen);
         let t = ctx.spawn(move |c| {
-            count_host_exit(&child_exits);
+            let _guard = LocalDrop(child_drops);
+            assert_eq!(crate::coro::live_stacks(), 2, "the root's and ours");
             c.compute_ns(1_000.0);
         });
         ctx.join(t);
         assert_eq!(
             seen.load(Ordering::SeqCst),
             1,
-            "join returned before the joined thread's OS thread exited"
+            "join returned before the joined thread's locals dropped"
+        );
+        assert_eq!(
+            crate::coro::live_stacks(),
+            1,
+            "join returned before the joined thread's stack was freed"
         );
     });
 }
@@ -1449,27 +1447,27 @@ fn engines_beyond_cpu_count_match_sequential_runs() {
 
 #[test]
 fn panic_while_peers_wait_is_contained() {
-    let exits = Arc::new(AtomicU64::new(0));
-    let root_exits = Arc::clone(&exits);
+    let drops = Arc::new(AtomicU64::new(0));
+    let root_drops = Arc::clone(&drops);
     let failure = engine(Architecture::IvyBridge)
         .try_run(move |ctx| {
-            count_host_exit(&root_exits);
+            let _guard = LocalDrop(Arc::clone(&root_drops));
             let mut kids = Vec::new();
-            // Two peers that stay runnable: between slices they wait
-            // for their permits while another thread holds the token.
+            // Two peers that stay runnable: between slices they are
+            // suspended while another thread holds the token.
             for _ in 0..2 {
-                let exits = Arc::clone(&root_exits);
+                let drops = Arc::clone(&root_drops);
                 kids.push(ctx.spawn(move |c| {
-                    count_host_exit(&exits);
+                    let _guard = LocalDrop(drops);
                     loop {
                         c.compute_ns(100.0);
                         c.yield_now();
                     }
                 }));
             }
-            let exits = Arc::clone(&root_exits);
+            let drops = Arc::clone(&root_drops);
             kids.push(ctx.spawn(move |c| {
-                count_host_exit(&exits);
+                let _guard = LocalDrop(drops);
                 c.compute_ns(5_000.0);
                 panic!("worker failed");
             }));
@@ -1483,8 +1481,246 @@ fn panic_while_peers_wait_is_contained() {
         "expected t3's ThreadPanic, got {failure}"
     );
     assert_eq!(
-        exits.load(Ordering::SeqCst),
+        drops.load(Ordering::SeqCst),
         4,
-        "try_run returned before every host thread was joined"
+        "try_run returned before every simulated thread's locals dropped"
+    );
+}
+
+#[test]
+fn panic_unwinds_every_parked_peer_before_try_run_returns() {
+    let drops = Arc::new(AtomicU64::new(0));
+    let started = Arc::new(AtomicU64::new(0));
+    let (d, s) = (Arc::clone(&drops), Arc::clone(&started));
+    let failure = engine(Architecture::IvyBridge)
+        .try_run(move |ctx| {
+            let ch = ctx.chan_new::<u64>();
+            let m = ctx.mutex_new();
+            let b = ctx.barrier_new(2);
+            ctx.mutex_lock(m);
+            // Three peers that park: on an empty channel, on the mutex
+            // the root holds, and at a barrier nobody else reaches.
+            let (d1, s1, rx) = (Arc::clone(&d), Arc::clone(&s), ch.clone());
+            ctx.spawn(move |c| {
+                let _guard = LocalDrop(d1);
+                s1.fetch_add(1, Ordering::SeqCst);
+                c.chan_recv(&rx);
+            });
+            let (d2, s2) = (Arc::clone(&d), Arc::clone(&s));
+            ctx.spawn(move |c| {
+                let _guard = LocalDrop(d2);
+                s2.fetch_add(1, Ordering::SeqCst);
+                c.mutex_lock(m);
+            });
+            let (d3, s3) = (Arc::clone(&d), Arc::clone(&s));
+            ctx.spawn(move |c| {
+                let _guard = LocalDrop(d3);
+                s3.fetch_add(1, Ordering::SeqCst);
+                c.barrier_wait(b);
+            });
+            // Let all three park before failing.
+            ctx.compute_ns(10_000.0);
+            ctx.yield_now();
+            panic!("root failed");
+        })
+        .unwrap_err();
+    assert!(
+        matches!(&failure, SimFailure::ThreadPanic { thread: ThreadId(0), message, .. } if message == "root failed"),
+        "expected t0's ThreadPanic, got {failure}"
+    );
+    assert_eq!(started.load(Ordering::SeqCst), 3, "all three peers ran");
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        3,
+        "try_run returned before every parked peer unwound"
+    );
+}
+
+#[test]
+fn watchdog_returns_hang_for_a_pure_host_loop() {
+    // The body never reaches an operation boundary, so the abort cannot
+    // reach it: the engine's helper OS thread is detached, and exits
+    // once the test releases the loop.
+    let release = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&release);
+    let e = engine(Architecture::IvyBridge);
+    e.set_watchdog(Some(std::time::Duration::from_millis(30)));
+    let failure = e
+        .try_run(move |ctx| {
+            ctx.compute_ns(10.0);
+            while !r.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })
+        .unwrap_err();
+    release.store(true, Ordering::SeqCst);
+    assert!(
+        matches!(
+            failure,
+            SimFailure::Hang {
+                thread: ThreadId(0),
+                ..
+            }
+        ),
+        "expected t0's Hang, got {failure}"
+    );
+}
+
+#[test]
+fn simulated_threads_run_on_the_callers_os_thread() {
+    let host = std::thread::current().id();
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        let kids: Vec<_> = (0..3)
+            .map(|_| {
+                ctx.spawn(move |c| {
+                    c.compute_ns(100.0);
+                    c.yield_now();
+                    assert_eq!(std::thread::current().id(), host);
+                })
+            })
+            .collect();
+        for k in kids {
+            ctx.join(k);
+        }
+        assert_eq!(std::thread::current().id(), host);
+    });
+}
+
+#[test]
+fn an_engine_runs_inside_a_simulated_thread() {
+    // The inner engine's loop runs on the outer thread's stack; its
+    // threads suspend to it, not to the outer loop.
+    let inner_end = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&inner_end);
+    let outer = engine(Architecture::IvyBridge).run(move |ctx| {
+        let peer = ctx.spawn(|c| {
+            for _ in 0..20 {
+                c.compute_ns(100.0);
+                c.yield_now();
+            }
+        });
+        ctx.compute_ns(50.0);
+        let report = engine(Architecture::IvyBridge).run(|c| {
+            let m = c.mutex_new();
+            let kids: Vec<_> = (0..2)
+                .map(|_| {
+                    c.spawn(move |k| {
+                        for _ in 0..10 {
+                            k.mutex_lock(m);
+                            k.compute_ns(100.0);
+                            k.mutex_unlock(m);
+                        }
+                    })
+                })
+                .collect();
+            for k in kids {
+                c.join(k);
+            }
+        });
+        seen.store(report.end_time.as_ps(), Ordering::SeqCst);
+        ctx.join(peer);
+    });
+    let inner = SimTime::from_ps(inner_end.load(Ordering::SeqCst));
+    assert!(
+        inner.as_ns_f64() >= 2_000.0,
+        "20 serialized critical sections: {inner}"
+    );
+    assert!(
+        outer.end_time.as_ns_f64() >= 2_000.0,
+        "the peer's 20 slices: {}",
+        outer.end_time
+    );
+}
+
+#[test]
+fn a_simulated_thread_can_use_a_mebibyte_of_stack() {
+    // Stacks are 2 MiB, the size an OS thread got by default.
+    let sum = Arc::new(AtomicU64::new(0));
+    let s = Arc::clone(&sum);
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        let big = std::hint::black_box([1u8; 1 << 20]);
+        ctx.compute_ns(10.0);
+        let total: u64 = big.iter().map(|&b| u64::from(b)).sum();
+        s.store(total, Ordering::SeqCst);
+    });
+    assert_eq!(sum.load(Ordering::SeqCst), 1 << 20);
+}
+
+/// Captures and renders a backtrace from its own (never inlined) frame.
+#[inline(never)]
+fn render_backtrace_here() -> String {
+    let bt = std::backtrace::Backtrace::force_capture();
+    assert_eq!(bt.status(), std::backtrace::BacktraceStatus::Captured);
+    std::hint::black_box(bt.to_string())
+}
+
+#[test]
+fn backtraces_render_inside_a_simulated_thread() {
+    let rendered = Arc::new(parking_lot::Mutex::new(String::new()));
+    let r = Arc::clone(&rendered);
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        ctx.compute_ns(10.0);
+        *r.lock() = render_backtrace_here();
+    });
+    let text = rendered.lock();
+    // The walk runs from the capturing frame out to the trampoline, where
+    // the coroutine's stack begins, and stops there.
+    assert!(
+        text.contains("render_backtrace_here"),
+        "backtrace names the capturing frame:\n{text}"
+    );
+    let last_frame = text.lines().rfind(|l| {
+        l.trim_start()
+            .split_once(": ")
+            .is_some_and(|(n, _)| n.parse::<usize>().is_ok())
+    });
+    assert!(
+        last_frame.is_some_and(|l| l.ends_with(": quartz_threadsim_coro_trampoline")),
+        "backtrace ends at the trampoline:\n{text}"
+    );
+}
+
+/// Recurses until the stack runs out; every frame keeps 1 KiB live.
+#[inline(never)]
+#[allow(unconditional_recursion)]
+fn recurse_without_bound(depth: u64) -> u64 {
+    let frame = std::hint::black_box([depth as u8; 1024]);
+    recurse_without_bound(depth + 1).wrapping_add(u64::from(frame[0]))
+}
+
+#[test]
+#[ignore = "overflows its stack on purpose; run by stack_overflow_hits_the_guard_page"]
+fn overflow_a_simulated_threads_stack() {
+    engine(Architecture::IvyBridge).run(|ctx| {
+        ctx.compute_ns(10.0);
+        std::hint::black_box(recurse_without_bound(0));
+    });
+}
+
+#[test]
+fn stack_overflow_hits_the_guard_page() {
+    use std::os::unix::process::ExitStatusExt;
+    // Re-run this test binary on the ignored test above, with core dumps
+    // off. A write below the stack must fault on the guard page
+    // (SIGSEGV), never land in other memory.
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -c 0; exec \"$0\" \"$@\"")
+        .arg(exe)
+        .args([
+            "--ignored",
+            "--exact",
+            "tests::overflow_a_simulated_threads_stack",
+            "--test-threads=1",
+        ])
+        .output()
+        .expect("re-run the test binary");
+    assert_eq!(
+        out.status.signal(),
+        Some(11),
+        "child should die by SIGSEGV; status {:?}, stderr:\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
     );
 }

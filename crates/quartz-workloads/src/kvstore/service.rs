@@ -137,8 +137,8 @@ pub fn deadline_remaining(deadline: SimTime, now: SimTime) -> Duration {
 /// [`NoServiceFaults`] is indistinguishable from no seam at all.
 ///
 /// All methods are pure functions of `(worker, seq)` — `seq` is the
-/// worker's own processed-request counter, deterministic under the
-/// engine's permit-handoff serialization — so a faulted run is
+/// worker's own processed-request counter, deterministic because the
+/// engine runs one simulated thread at a time — so a faulted run is
 /// byte-identical across repeats and `--jobs` counts.
 pub trait ServiceFaultInjector: Send + Sync {
     /// Extra virtual-time compute charged before executing worker

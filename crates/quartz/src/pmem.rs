@@ -10,14 +10,15 @@
 //! already completed — which lets independent writes proceed in parallel.
 //!
 //! Each primitive goes through the calling thread's `crate::registry`
-//! slot, reached through the per-OS-thread slot cache with no lock, and
-//! acquires the slot's owner lock **at most once** per call; the seed's
-//! global `Mutex<HashMap>` needed up to two acquisitions (plus a hash
-//! each) and could lose `pflush_delay` attribution when the second
-//! lookup raced a lookup failure after `ctx.spin`. Each primitive's slot
-//! closure returns before its `ctx.spin`, so no slot lock is held and
-//! the cached handle is back in place when a hook fires there (a
-//! monitor signal during the delay).
+//! slot, reached through the per-OS-thread slot cache (no lock, except
+//! for the first lookup after a hand-off between the simulated threads
+//! that share the OS thread), and acquires the slot's owner lock **at
+//! most once** per call; the seed's global `Mutex<HashMap>` needed up to
+//! two acquisitions (plus a hash each) and could lose `pflush_delay`
+//! attribution when the second lookup raced a lookup failure after
+//! `ctx.spin`. Each primitive's slot closure returns before its
+//! `ctx.spin`, so no slot lock is held and the cached handle is back in
+//! place when a hook fires there (a monitor signal during the delay).
 
 use quartz_memsim::Addr;
 use quartz_platform::time::{Duration, SimTime};

@@ -22,11 +22,13 @@
 //!   the monitor's age scan takes no per-thread lock at all.
 //! * **Steady-state lookup** takes no lock at all: each OS thread caches
 //!   the slot handle it last used (see [`SlotRegistry::with_slot`]).
-//!   Every simulated thread runs on an OS thread of its own, so the
-//!   cache serves a thread's lookups until the table next changes. Any
-//!   registration, retirement or reap invalidates every thread's cached
-//!   handle, so each thread spawn costs each running thread one locked
-//!   refill at its next lookup.
+//!   An engine runs its simulated threads as coroutines on one OS thread,
+//!   so they share that entry. Its key includes the simulated thread id,
+//!   so the first lookup after a hand-off to another thread misses and
+//!   refills it (one read lock and one `Arc` clone), and a lookup never
+//!   returns another thread's slot. Between hand-offs every lookup hits.
+//!   Any registration, retirement or reap also invalidates the entry, so
+//!   each thread spawn costs one locked refill at the next lookup.
 //! * **Run boundary.** [`Quartz::attach`](crate::Quartz::attach) starts a
 //!   run: it retires the previous run's live slots, which leave lookups
 //!   and the failure reaper's reach but keep counting in the aggregates.

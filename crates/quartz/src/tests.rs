@@ -727,6 +727,71 @@ fn repeated_pflush_opt_of_one_line_does_not_grow_pending_set() {
 }
 
 #[test]
+fn interleaved_flushes_on_one_os_thread_stay_in_their_own_slots() {
+    // An engine runs its simulated threads on the OS thread that calls
+    // `run`, so they share the registry's per-OS-thread slot cache. Two
+    // threads hand off between every `pflush_opt` and check that each
+    // lookup still reaches the caller's own pending set and stats.
+    let mem = machine(Architecture::IvyBridge, true);
+    let engine = Engine::new(Arc::clone(&mem));
+    let quartz = Quartz::new(
+        QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(450.0)),
+        mem,
+    )
+    .unwrap();
+    quartz.attach(&engine).unwrap();
+    let q = Arc::clone(&quartz);
+    let host = std::thread::current().id();
+    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log = Arc::clone(&order);
+    engine.run(move |ctx| {
+        let buf = q.pmalloc(ctx, 1 << 16).unwrap();
+        let start = ctx.barrier_new(2);
+        let kids: Vec<_> = [3u64, 5]
+            .into_iter()
+            .enumerate()
+            .map(|(k, lines)| {
+                let (q, log) = (Arc::clone(&q), Arc::clone(&log));
+                ctx.spawn(move |c| {
+                    assert_eq!(std::thread::current().id(), host);
+                    c.barrier_wait(start);
+                    for round in 0..4u64 {
+                        for i in 0..lines {
+                            let a = buf.offset_by((k as u64 * 64 + round * 8 + i) * 64);
+                            c.store(a);
+                            q.pflush_opt(c, a);
+                            log.lock().push((k, i + 1 < lines));
+                            c.yield_now();
+                            assert_eq!(q.pending_flushes(c), i as usize + 1);
+                        }
+                        q.pcommit(c);
+                        assert_eq!(q.pending_flushes(c), 0);
+                    }
+                })
+            })
+            .collect();
+        for k in kids {
+            ctx.join(k);
+        }
+    });
+    // (thread, window still open) per flush: count hand-offs that left
+    // a thread's flushes pending.
+    let order = order.lock();
+    let open_switches = order
+        .windows(2)
+        .filter(|w| w[0].0 != w[1].0 && w[0].1)
+        .count();
+    assert!(open_switches >= 2, "hand-offs inside a window: {order:?}");
+    let mut pflushes: Vec<u64> = quartz
+        .per_thread_stats()
+        .iter()
+        .map(|s| s.pflushes)
+        .collect();
+    pflushes.sort_unstable();
+    assert_eq!(pflushes, vec![0, 12, 20], "root, 3 lines x 4, 5 lines x 4");
+}
+
+#[test]
 fn stats_report_amortization() {
     let mem = machine(Architecture::IvyBridge, true);
     let engine = Engine::new(Arc::clone(&mem));
