@@ -55,15 +55,6 @@ pub trait Experiment: Sync {
     /// `"§4.4 Fig. 11"`), or `"beyond the paper"` study references.
     fn paper_ref(&self) -> &'static str;
 
-    /// Whether the experiment's tables contain only virtual-time (and
-    /// therefore seed-deterministic) quantities. Host-timing studies
-    /// (e.g. `contention`) return `false`: their numbers vary run to
-    /// run, so they are excluded from the byte-identical guarantee and
-    /// always evaluated serially.
-    fn deterministic(&self) -> bool {
-        true
-    }
-
     /// Runs the experiment and returns its report.
     fn run(&self, ctx: &ExpCtx) -> ExpReport;
 }
@@ -97,8 +88,8 @@ impl ExpCtx {
 
     /// Evaluates `f` over the experiment's declared sweep on the worker
     /// pool and returns the results in declaration order (see
-    /// [`crate::grid::run_grid`]). Per-point wall times are recorded
-    /// for the run manifest.
+    /// [`crate::grid::run_grid_checked`]). Per-point wall times are
+    /// recorded for the run manifest.
     ///
     /// # Panics
     ///
@@ -112,27 +103,7 @@ impl ExpCtx {
         R: Send,
         F: Fn(&Pt<T>) -> R + Sync,
     {
-        self.run_checked(self.jobs, points, f)
-    }
-
-    /// Like [`ExpCtx::grid`] but always serial, for host-timing
-    /// measurements that concurrency would perturb.
-    pub fn grid_serial<T, R, F>(&self, points: Vec<Pt<T>>, f: F) -> Vec<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        F: Fn(&Pt<T>) -> R + Sync,
-    {
-        self.run_checked(1, points, f)
-    }
-
-    fn run_checked<T, R, F>(&self, jobs: usize, points: Vec<Pt<T>>, f: F) -> Vec<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        F: Fn(&Pt<T>) -> R + Sync,
-    {
-        let (results, timings) = run_grid_checked(jobs, points, f);
+        let (results, timings) = run_grid_checked(self.jobs, points, f);
         self.timings.lock().extend(timings);
         let mut out = Vec::with_capacity(results.len());
         let mut first_failure: Option<PointFailure> = None;
@@ -189,9 +160,9 @@ pub struct ExpReport {
     /// embedded in the experiment's JSON row file.
     pub stats: Vec<(String, Json)>,
     /// Benchmark files to write verbatim under the output directory:
-    /// `(file name, contents)`. The `BENCH_*.json` throughput-trajectory
-    /// channel — unlike tables, these are free-schema documents tracked
-    /// PR-over-PR by tooling (file names are recorded in the manifest).
+    /// `(file name, contents)`. The `BENCH_*.json` channel — unlike
+    /// tables, these are free-schema documents tracked PR-over-PR by
+    /// tooling (file names are recorded in the manifest).
     pub benches: Vec<(String, String)>,
 }
 
@@ -233,7 +204,7 @@ impl ExpReport {
         self
     }
 
-    /// Adds a benchmark file (e.g. `BENCH_memsim.json`) the harness
+    /// Adds a benchmark file (e.g. `BENCH_overload.json`) the harness
     /// writes verbatim under the output directory.
     pub fn bench_file(&mut self, name: impl Into<String>, contents: String) -> &mut Self {
         self.benches.push((name.into(), contents));

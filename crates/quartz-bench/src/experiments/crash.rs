@@ -1,17 +1,12 @@
-//! Crash-consistency experiments built on the `quartz-crash` subsystem.
-//!
-//! * [`CrashSweep`] — the checker's acceptance study: the undo-log
-//!   KV store's correct protocol must recover at *every* crash point
-//!   (no false positives) and both seeded-bug variants must be flagged
-//!   at one or more points (no false negatives). Pure virtual-time
-//!   quantities, fully deterministic.
-//! * [`CrashCost`] — what the tracking costs: host wall-clock per
-//!   persisted op with and without the persistence observer installed,
-//!   plus the price of materializing post-crash images. Host-timed,
-//!   therefore excluded from the byte-identical determinism contract.
+//! The crash-consistency experiment built on the `quartz-crash`
+//! subsystem: [`CrashSweep`], the checker's acceptance study. The
+//! undo-log KV store's correct protocol must recover at *every* crash
+//! point (no false positives), both seeded-bug variants must be
+//! flagged at one or more points (no false negatives), and persistence
+//! tracking must cost nothing in virtual time. Pure virtual-time
+//! quantities, fully deterministic.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use quartz::{NvmTarget, QuartzConfig, QuartzStats};
 use quartz_crash::{CrashPlan, PersistCounters};
@@ -22,7 +17,7 @@ use quartz_workloads::kvstore::{check_undo_log, run_undo_log, UndoLogSpec, UndoV
 
 use crate::exp::{ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
-use crate::report::{f, Table};
+use crate::report::Table;
 use crate::{run_workload, MachineSpec};
 
 /// The emulated NVM every crash experiment targets: 300 ns reads,
@@ -163,6 +158,16 @@ impl Experiment for CrashSweep {
             ),
         ];
         let rows = ctx.grid(points, |pt| eval_sweep_point(pt, ops, random_points));
+        let op_counts: &[u64] = if ctx.quick() {
+            &[400, 1200]
+        } else {
+            &[2000, 8000]
+        };
+        let cost_points = op_counts
+            .iter()
+            .map(|&ops| Pt::new(format!("cost/ops{ops}"), 11, ops))
+            .collect();
+        let costs = ctx.grid(cost_points, |pt| eval_cost_point(pt.data, pt.seed));
 
         let mut table = Table::new(
             "Crash sweep — undo-log KV store, recovery checked at every crash point",
@@ -258,28 +263,39 @@ impl Experiment for CrashSweep {
                 false_negatives == 0,
                 format!("false negatives {false_negatives} == 0: every seeded bug is detected"),
             );
+        let matching = costs.iter().filter(|c| c.free_in_virtual_time()).count();
+        report.claim(
+            matching == costs.len(),
+            format!(
+                "tracking is free in virtual time: tracked and untracked runs end at \
+                 the same simulated instant at {matching} of {} op counts",
+                costs.len()
+            ),
+        );
         report
     }
 }
 
-/// What one crash-cost measurement produced.
-struct CostRow {
-    ops: u64,
-    untracked_ns: f64,
-    tracked_ns: f64,
+/// One tracked/untracked pair of the same store+flush sequence.
+struct CostPoint {
     untracked_end: SimTime,
     tracked_end: SimTime,
-    events: usize,
-    images: usize,
-    ns_per_image: f64,
+    /// Persistence events the tracked run recorded.
+    events: u64,
 }
 
-fn eval_cost_point(ops: u64, seed: u64) -> CostRow {
+impl CostPoint {
+    /// Tracking recorded the ops and did not move the run's end.
+    fn free_in_virtual_time(&self) -> bool {
+        self.events > 0 && self.untracked_end == self.tracked_end
+    }
+}
+
+fn eval_cost_point(ops: u64, seed: u64) -> CostPoint {
     let lines = 64u64;
     let cfg = crash_target();
     // Baseline: the identical store+flush sequence against the raw
     // emulator, no observer installed, no shadow bookkeeping.
-    let t0 = Instant::now();
     let (untracked_end, _) = run_workload(crash_machine(seed), Some(cfg.clone()), move |ctx, q| {
         let q = q.expect("quartz attached");
         let buf = q.pmalloc(ctx, lines * 64).expect("pmalloc");
@@ -290,11 +306,9 @@ fn eval_cost_point(ops: u64, seed: u64) -> CostRow {
         }
         ctx.now()
     });
-    let untracked_ns = t0.elapsed().as_nanos() as f64;
 
     // Tracked: same machine seed, same op sequence, full persistence
     // tracking through the `Pmem` façade.
-    let t0 = Instant::now();
     let (run, tracked_end) = CrashPlan::new(seed)
         .with_random_points(0)
         .run(crash_machine(seed), cfg, move |ctx, q, pm| {
@@ -307,115 +321,11 @@ fn eval_cost_point(ops: u64, seed: u64) -> CostRow {
             ctx.now()
         })
         .expect("crash run");
-    let tracked_ns = t0.elapsed().as_nanos() as f64;
 
-    // The injector's cost: materialize durable images at a sample of
-    // instants across the run (image_at scans the recorded event log).
-    let images = 64usize;
-    let span = run.trace().end().as_ps().max(1);
-    let t0 = Instant::now();
-    let mut sink = 0u64;
-    for i in 0..images {
-        let at = SimTime::from_ps(span * (i as u64 + 1) / (images as u64 + 1));
-        sink = sink.wrapping_add(run.trace().image_at(at).fingerprint());
-    }
-    let image_ns = t0.elapsed().as_nanos() as f64;
-    std::hint::black_box(sink);
-
-    CostRow {
-        ops,
-        untracked_ns,
-        tracked_ns,
+    CostPoint {
         untracked_end,
         tracked_end,
-        events: run.trace().events() as usize,
-        images,
-        ns_per_image: image_ns / images as f64,
-    }
-}
-
-/// Host-side cost of persistence tracking and crash-image
-/// materialization. Host-timed: always serial, never golden-compared.
-pub struct CrashCost;
-
-impl Experiment for CrashCost {
-    fn name(&self) -> &'static str {
-        "crash_cost"
-    }
-
-    fn description(&self) -> &'static str {
-        "host cost of persistence tracking: observer on/off + image materialization"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "§3.2 (extension)"
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run(&self, ctx: &ExpCtx) -> ExpReport {
-        let op_counts: Vec<u64> = if ctx.quick() {
-            vec![400, 1200]
-        } else {
-            vec![2000, 8000]
-        };
-        let points: Vec<Pt<u64>> = op_counts
-            .iter()
-            .map(|&ops| Pt::new(format!("ops{ops}"), 11, ops))
-            .collect();
-        let rows = ctx.grid_serial(points, |pt| eval_cost_point(pt.data, pt.seed));
-
-        let mut table = Table::new(
-            "Crash cost (1) — host ns per persisted op, observer off vs on",
-            &[
-                "ops",
-                "untracked ns/op",
-                "tracked ns/op",
-                "overhead",
-                "sim end matches",
-            ],
-        );
-        let mut images = Table::new(
-            "Crash cost (2) — durable-image materialization from the event log",
-            &["ops", "events", "images", "host µs/image"],
-        );
-        let mut matching = 0usize;
-        for r in &rows {
-            let untracked = r.untracked_ns / r.ops as f64;
-            let tracked = r.tracked_ns / r.ops as f64;
-            let matches = r.untracked_end == r.tracked_end;
-            matching += usize::from(matches);
-            table.row(&[
-                r.ops.to_string(),
-                f(untracked, 1),
-                f(tracked, 1),
-                format!("{:.2}x", tracked / untracked.max(f64::MIN_POSITIVE)),
-                if matches { "yes" } else { "NO" }.into(),
-            ]);
-            images.row(&[
-                r.ops.to_string(),
-                r.events.to_string(),
-                r.images.to_string(),
-                f(r.ns_per_image / 1000.0, 1),
-            ]);
-        }
-        let mut report = ExpReport::default();
-        report.table(table).table(images);
-        report.note(
-            "(host numbers vary run to run; this experiment is excluded from \
-             the byte-identical determinism contract)",
-        );
-        report.claim(
-            matching == rows.len(),
-            format!(
-                "tracking is free in virtual time: tracked and untracked runs end at \
-                 the same simulated instant at {matching} of {} op counts",
-                rows.len()
-            ),
-        );
-        report
+        events: run.trace().events(),
     }
 }
 
@@ -467,6 +377,6 @@ mod tests {
         let r = eval_cost_point(64, 5);
         assert_eq!(r.untracked_end, r.tracked_end);
         assert!(r.events > 0);
-        assert_eq!(r.ops, 64);
+        assert!(r.free_in_virtual_time());
     }
 }

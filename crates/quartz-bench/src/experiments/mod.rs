@@ -10,7 +10,6 @@
 
 pub mod ablations;
 pub mod asymmetry;
-pub mod contention;
 pub mod crash;
 pub mod extensions;
 pub mod failure_modes;
@@ -23,7 +22,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig8;
 pub mod lockfree_sweep;
-pub mod memsim_throughput;
 pub mod overhead;
 pub mod overload;
 pub mod pagerank_validation;

@@ -1,8 +1,9 @@
 //! Deterministic parallel execution of experiment sweeps.
 //!
 //! Experiments declare their `arch × config × trial` sweep as a vector
-//! of [`Pt`] grid points; [`run_grid`] evaluates them on a scoped
-//! worker pool and hands the results back **in declaration order**.
+//! of [`Pt`] grid points; [`run_grid_checked`] evaluates them on a
+//! scoped worker pool and hands the results back **in declaration
+//! order**.
 //! Parallelism is safe because every point builds its own
 //! `MachineSpec`/`MemorySystem` (no shared simulator state) and the
 //! simulator is seed-deterministic, so the assembled output is
@@ -79,40 +80,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// returns `(results, timings)` — both **in declaration order**,
 /// regardless of which worker finished first.
 ///
+/// A panicking point is quarantined instead of propagated: each result
+/// slot is `Ok(R)` or `Err(PointFailure)`. A panicking point records a
+/// timing like any other, and the remaining points still run. This is
+/// what lets the bench harness quarantine one failing experiment point
+/// without aborting the sweep or perturbing the output of healthy
+/// points.
+///
 /// With `jobs <= 1` (or a single point) everything runs inline on the
 /// caller's thread; the output is identical either way.
-///
-/// # Panics
-///
-/// Propagates the panic of the **declaration-order first** failing
-/// point (so the observable failure is independent of worker
-/// scheduling); healthy points keep running to completion first.
-pub fn run_grid<T, R, F>(jobs: usize, points: Vec<Pt<T>>, f: F) -> (Vec<R>, Vec<PointTiming>)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&Pt<T>) -> R + Sync,
-{
-    let (results, timings) = run_grid_checked(jobs, points, f);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(fail) => panic!(
-                "grid point '{}' (index {}) panicked: {}",
-                fail.label, fail.index, fail.message
-            ),
-        }
-    }
-    (out, timings)
-}
-
-/// Like [`run_grid`] but quarantines panicking points instead of
-/// propagating: each result slot is `Ok(R)` or `Err(PointFailure)`, in
-/// declaration order. A panicking point records a timing like any
-/// other; the remaining points still run. This is what lets the bench
-/// harness quarantine one failing experiment point without aborting
-/// the sweep or perturbing the output of healthy points.
 pub fn run_grid_checked<T, R, F>(
     jobs: usize,
     points: Vec<Pt<T>>,
@@ -190,12 +166,17 @@ mod tests {
         (0..n).map(|i| Pt::new(format!("p{i}"), i, i)).collect()
     }
 
+    /// Unwraps every point's result of a grid expected not to fail.
+    fn ok<R: std::fmt::Debug>(results: Vec<Result<R, PointFailure>>) -> Vec<R> {
+        results.into_iter().map(Result::unwrap).collect()
+    }
+
     #[test]
     fn results_come_back_in_declaration_order() {
         for jobs in [1usize, 2, 8, 64] {
-            let (out, timings) = run_grid(jobs, points(37), |p| p.data * 3);
+            let (out, timings) = run_grid_checked(jobs, points(37), |p| p.data * 3);
             assert_eq!(
-                out,
+                ok(out),
                 (0..37).map(|i| i * 3).collect::<Vec<_>>(),
                 "jobs={jobs}"
             );
@@ -208,7 +189,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_byte_for_byte() {
         let render = |jobs| {
-            let (out, _) = run_grid(jobs, points(16), |p| {
+            let (out, _) = run_grid_checked(jobs, points(16), |p| {
                 // A seed-dependent "simulation".
                 let mut x = p
                     .seed
@@ -217,24 +198,24 @@ mod tests {
                 x ^= x >> 33;
                 format!("{x}")
             });
-            out.join(",")
+            ok(out).join(",")
         };
         assert_eq!(render(1), render(8));
     }
 
     #[test]
     fn empty_and_singleton_grids() {
-        let (out, t) = run_grid::<u64, u64, _>(8, Vec::new(), |p| p.data);
+        let (out, t) = run_grid_checked::<u64, u64, _>(8, Vec::new(), |p| p.data);
         assert!(out.is_empty() && t.is_empty());
-        let (out, t) = run_grid(8, points(1), |p| p.data + 1);
-        assert_eq!(out, vec![1]);
+        let (out, t) = run_grid_checked(8, points(1), |p| p.data + 1);
+        assert_eq!(ok(out), vec![1]);
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn more_jobs_than_points_is_fine() {
-        let (out, _) = run_grid(64, points(3), |p| p.data);
-        assert_eq!(out, vec![0, 1, 2]);
+        let (out, _) = run_grid_checked(64, points(3), |p| p.data);
+        assert_eq!(ok(out), vec![0, 1, 2]);
     }
 
     #[test]
@@ -263,15 +244,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grid point 'p2' (index 2) panicked: kaboom")]
+    #[should_panic(expected = "PointFailure { label: \"p2\", index: 2, message: \"kaboom\" }")]
     fn unchecked_grid_reports_first_declaration_order_failure() {
-        // Two failing points; the propagated panic must name the
-        // declaration-order first one regardless of worker scheduling.
-        let _ = run_grid(8, points(10), |p| {
+        // Two failing points; unwrapping the results in order must stop
+        // at the declaration-order first one regardless of worker
+        // scheduling.
+        let (out, _) = run_grid_checked(8, points(10), |p| {
             if p.data == 2 || p.data == 7 {
                 panic!("kaboom");
             }
             p.data
         });
+        ok(out);
     }
 }

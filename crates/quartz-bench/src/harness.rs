@@ -8,11 +8,11 @@
 //! wall-time summary.
 //!
 //! Output determinism contract: everything written to the console,
-//! the CSVs, and the `<name>.json` row files depends only on seeds and
-//! experiment parameters — never on `--jobs` or the host — except for
-//! experiments whose [`Experiment::deterministic`] is `false` (host
-//! timing studies) and the wall-time figures, which are confined to the
-//! manifest and the summary table.
+//! the CSVs, the `<name>.json` row files and the bench files depends
+//! only on seeds and experiment parameters — never on `--jobs` or the
+//! host. Experiments report virtual time only; the one host-timed
+//! output is the wall-time figures, confined to the manifest, the
+//! `[name took …]` lines and the summary table.
 
 use std::io::{self, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -227,7 +227,6 @@ fn save_report(
         ("paper_ref", Json::str(exp.paper_ref())),
         ("description", Json::str(exp.description())),
         ("quick", Json::Bool(opts.quick)),
-        ("deterministic", Json::Bool(exp.deterministic())),
         (
             "tables",
             Json::Arr(report.tables.iter().map(|t| t.to_json()).collect()),

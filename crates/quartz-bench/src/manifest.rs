@@ -66,9 +66,6 @@ pub struct ExperimentRecord {
     pub name: String,
     /// Paper reference (`§4.4 Fig. 11` style).
     pub paper_ref: String,
-    /// Whether the experiment's outputs are seed-deterministic (see
-    /// [`Experiment::deterministic`]).
-    pub deterministic: bool,
     /// Wall milliseconds for the whole experiment.
     pub wall_ms: f64,
     /// Per-grid-point labels, seeds, and wall times.
@@ -87,7 +84,6 @@ impl ExperimentRecord {
         ExperimentRecord {
             name: exp.name().to_string(),
             paper_ref: exp.paper_ref().to_string(),
-            deterministic: exp.deterministic(),
             wall_ms: 0.0,
             points: Vec::new(),
             tables: Vec::new(),
@@ -112,7 +108,6 @@ impl ExperimentRecord {
         let mut obj = Json::obj(vec![
             ("name", Json::str(self.name.clone())),
             ("paper_ref", Json::str(self.paper_ref.clone())),
-            ("deterministic", Json::Bool(self.deterministic)),
             ("wall_ms", Json::num3(self.wall_ms)),
             (
                 "seeds",
@@ -212,10 +207,12 @@ impl Manifest {
     /// output format, since the manifest indexes every file a run
     /// writes. Schema 2: exported `quartz_stats` carry every field,
     /// zeros included. Schema 3: row files carry `claims`, and a status
-    /// may be `claim_failed` with its `failed_claims`.
+    /// may be `claim_failed` with its `failed_claims`. Schema 4: no
+    /// `deterministic` key in records or row files, since every
+    /// experiment is byte-identical at any `--jobs`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::Int(3)),
+            ("schema", Json::Int(4)),
             ("quick", Json::Bool(self.quick)),
             ("jobs", Json::Int(self.jobs as u64)),
             ("host_parallelism", Json::Int(self.host_parallelism as u64)),
@@ -270,7 +267,6 @@ mod tests {
         ExperimentRecord {
             name: name.into(),
             paper_ref: "§4".into(),
-            deterministic: true,
             wall_ms,
             points: vec![
                 PointTiming {
@@ -307,7 +303,7 @@ mod tests {
         m.experiments.push(record("fig8", 10.0));
         let j = m.to_json().render();
         for key in [
-            "\"schema\":3",
+            "\"schema\":4",
             "\"quick\":true",
             "\"jobs\":4",
             "\"host_parallelism\":",
@@ -316,7 +312,6 @@ mod tests {
             "\"seeds\":[7]",
             "\"points\":[{\"label\":\"a\"",
             "\"tables\":[\"slug\"]",
-            "\"deterministic\":true",
             "\"status\":\"ok\"",
         ] {
             assert!(j.contains(key), "manifest missing {key}: {j}");

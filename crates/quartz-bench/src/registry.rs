@@ -9,9 +9,8 @@
 
 use crate::exp::Experiment;
 use crate::experiments::{
-    ablations, asymmetry, contention, crash, extensions, failure_modes, faults, fig11, fig12,
-    fig13, fig14, fig15, fig16, fig8, lockfree_sweep, memsim_throughput, overhead, overload,
-    pagerank_validation, table1, table2,
+    ablations, asymmetry, crash, extensions, failure_modes, faults, fig11, fig12, fig13, fig14,
+    fig15, fig16, fig8, lockfree_sweep, overhead, overload, pagerank_validation, table1, table2,
 };
 
 /// Every registered experiment, in canonical `repro all` order.
@@ -35,12 +34,9 @@ static REGISTRY: &[&dyn Experiment] = &[
     &extensions::Graph500,
     &extensions::ParallelPagerank,
     &extensions::LoadedLatency,
-    &contention::Contention,
     &crash::CrashSweep,
-    &crash::CrashCost,
     &faults::FaultMatrix,
     &failure_modes::FailureModes,
-    &memsim_throughput::MemsimThroughput,
     &overload::OverloadMatrix,
     &lockfree_sweep::LockfreeSweep,
 ];
@@ -163,12 +159,9 @@ mod tests {
             "graph500",
             "parallel_pagerank",
             "loaded_latency",
-            "contention",
             "crash_sweep",
-            "crash_cost",
             "fault_matrix",
             "failure_modes",
-            "memsim_throughput",
             "overload_matrix",
             "lockfree_sweep",
         ];
@@ -251,12 +244,12 @@ mod tests {
     fn select_filter_splits_on_commas() {
         let sel = select(&[], Some("fig8,crash")).unwrap();
         let names: Vec<&str> = sel.iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["fig8", "crash_sweep", "crash_cost"]);
+        assert_eq!(names, vec!["fig8", "crash_sweep"]);
         // Empty terms (stray/trailing commas, whitespace) are ignored;
         // duplicates across terms collapse.
         let sel = select(&[], Some(" crash , ,fig8,crash,")).unwrap();
         let names: Vec<&str> = sel.iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["crash_sweep", "crash_cost", "fig8"]);
+        assert_eq!(names, vec!["crash_sweep", "fig8"]);
         // A comma list matching nothing selects nothing (not everything).
         assert!(select(&[], Some("zzz,yyy")).unwrap().is_empty());
     }
@@ -264,22 +257,5 @@ mod tests {
     #[test]
     fn empty_selection_means_everything() {
         assert_eq!(select(&[], None).unwrap().len(), all().len());
-    }
-
-    #[test]
-    fn only_host_timed_experiments_opt_out_of_determinism() {
-        // `contention`, `crash_cost`, and `memsim_throughput` measure
-        // wall-clock `Instant` spans around real host work; everything
-        // else (including `crash_sweep`) must uphold the byte-identical
-        // contract.
-        let host_timed = ["contention", "crash_cost", "memsim_throughput"];
-        for e in all() {
-            assert_eq!(
-                e.deterministic(),
-                !host_timed.contains(&e.name()),
-                "{} determinism flag",
-                e.name()
-            );
-        }
     }
 }
