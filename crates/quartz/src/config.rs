@@ -199,12 +199,6 @@ pub struct QuartzConfig {
     pub atomic_interposition: bool,
     /// One or two memory types.
     pub memory_mode: MemoryMode,
-    /// Measured average DRAM latencies used by the model, in ns
-    /// (`(local, remote)`); `None` uses the platform's calibrated values.
-    pub measured_dram_ns: Option<(f64, f64)>,
-    /// Charge the 5.5-billion-cycle library initialization to the init
-    /// clock (tracked in stats; never charged to workload time).
-    pub charge_init_cost: bool,
 }
 
 impl QuartzConfig {
@@ -221,8 +215,6 @@ impl QuartzConfig {
             sync_interposition: true,
             atomic_interposition: true,
             memory_mode: MemoryMode::default(),
-            measured_dram_ns: None,
-            charge_init_cost: true,
         }
     }
 
@@ -278,12 +270,6 @@ impl QuartzConfig {
     /// Enables the DRAM+NVM two-memory mode.
     pub fn with_two_memory_mode(mut self) -> Self {
         self.memory_mode = MemoryMode::TwoMemory;
-        self
-    }
-
-    /// Overrides the measured (local, remote) DRAM latencies.
-    pub fn with_measured_dram_ns(mut self, local: f64, remote: f64) -> Self {
-        self.measured_dram_ns = Some((local, remote));
         self
     }
 }

@@ -156,10 +156,8 @@ impl Quartz {
     pub fn new(config: QuartzConfig, mem: Arc<MemorySystem>) -> Result<Arc<Self>, QuartzError> {
         let platform = mem.platform().clone();
         let params = platform.arch_params();
-        let (dram_local_ns, dram_remote_ns) = config.measured_dram_ns.unwrap_or((
-            params.local_dram_ns.avg_ns as f64,
-            params.remote_dram_ns.avg_ns as f64,
-        ));
+        let dram_local_ns = params.local_dram_ns.avg_ns as f64;
+        let dram_remote_ns = params.remote_dram_ns.avg_ns as f64;
         let nvm_node = match config.memory_mode {
             MemoryMode::PmOnly => platform.topology().node_of_socket(SocketId(0)),
             MemoryMode::TwoMemory => {
@@ -285,11 +283,11 @@ impl Quartz {
             }
         }
 
-        if self.config.charge_init_cost {
-            *self.init_time.lock() = self
-                .platform
-                .cycles(self.platform.op_costs().lib_init_cycles);
-        }
+        // Library initialization goes to the init clock, never to
+        // workload time.
+        *self.init_time.lock() = self
+            .platform
+            .cycles(self.platform.op_costs().lib_init_cycles);
         Ok(())
     }
 

@@ -6,6 +6,7 @@
 //!   at both job counts; both output directories hold exactly the files
 //!   the manifests name. That one run is shared, and the
 //!   per-experiment tests read their experiment's part of it;
+//! * the committed `results/` holds exactly the CSVs that run writes;
 //! * `repro --list` must cover the whole registry;
 //! * usage errors exit with status 2, a quarantined experiment with 1.
 
@@ -198,6 +199,28 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     for name in names {
         assert_golden(name);
     }
+}
+
+/// The committed `results/` holds one CSV per table a run writes, and
+/// no other: a quick run names the same tables as a full one, so a new
+/// experiment or a renamed table fails here without a full run. CI
+/// checks the CSVs' contents against a full run.
+#[test]
+fn committed_results_hold_every_table_a_run_writes() {
+    let mut written: Vec<String> = golden().manifests[0]
+        .experiments
+        .iter()
+        .flat_map(|e| e.tables.iter().map(|t| format!("{t}.csv")))
+        .collect();
+    written.sort();
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut committed: Vec<String> = std::fs::read_dir(&results)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".csv"))
+        .collect();
+    committed.sort();
+    assert_eq!(committed, written, "CSVs in {}", results.display());
 }
 
 #[test]
