@@ -13,6 +13,7 @@
 //! from no injector at all (the no-regression property the conformance
 //! battery checks).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::time::Duration;
@@ -102,7 +103,15 @@ pub trait FaultInjector: Send + Sync {
 /// single `install` reaches every seam. `Default` is the empty cell.
 #[derive(Clone, Default)]
 pub struct FaultCell {
-    inner: Arc<RwLock<Option<Arc<dyn FaultInjector>>>>,
+    inner: Arc<Slot>,
+}
+
+#[derive(Default)]
+struct Slot {
+    /// Whether `injector` is `Some`; written under its lock, so
+    /// [`FaultCell::get`] can answer "none" without taking it.
+    installed: AtomicBool,
+    injector: RwLock<Option<Arc<dyn FaultInjector>>>,
 }
 
 impl FaultCell {
@@ -113,23 +122,37 @@ impl FaultCell {
 
     /// Installs (or replaces) the injector.
     pub fn install(&self, injector: Arc<dyn FaultInjector>) {
-        *self.inner.write().unwrap() = Some(injector);
+        self.set(Some(injector));
     }
 
     /// Removes any installed injector, restoring faithful behaviour.
     pub fn clear(&self) {
-        *self.inner.write().unwrap() = None;
+        self.set(None);
     }
 
-    /// The currently installed injector, if any. Cheap when empty.
+    fn set(&self, injector: Option<Arc<dyn FaultInjector>>) {
+        let mut slot = self.inner.injector.write().unwrap();
+        self.inner
+            .installed
+            .store(injector.is_some(), Ordering::Release);
+        *slot = injector;
+    }
+
+    /// The currently installed injector, if any. When none is installed
+    /// it answers from an atomic flag, without the lock.
     pub fn get(&self) -> Option<Arc<dyn FaultInjector>> {
-        self.inner.read().unwrap().clone()
+        // Acquire pairs with the Release store in `set`: a caller
+        // ordered after an install sees the flag set.
+        if !self.inner.installed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.inner.injector.read().unwrap().clone()
     }
 }
 
 impl std::fmt::Debug for FaultCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let installed = self.inner.read().unwrap().is_some();
+        let installed = self.inner.injector.read().unwrap().is_some();
         f.debug_struct("FaultCell")
             .field("installed", &installed)
             .finish()

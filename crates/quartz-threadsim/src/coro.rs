@@ -17,8 +17,8 @@
 //! The safe API rests on three rules:
 //!
 //! 1. A [`Coroutine`] is neither `Send` nor `Sync`: it is created,
-//!    resumed and dropped on one OS thread, so thread-locals and std
-//!    `MutexGuard`s held across a switch stay valid.
+//!    resumed and dropped on one OS thread, so thread-locals and
+//!    `!Send` lock guards held across a switch stay valid.
 //! 2. [`suspend`] switches out of the innermost coroutine running on the
 //!    calling OS thread, as recorded by [`Coroutine::resume`]; outside a
 //!    coroutine it panics.

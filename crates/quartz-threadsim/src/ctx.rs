@@ -4,7 +4,6 @@ use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::MutexGuard;
 use quartz_memsim::{AccessResult, Addr, MemSimError, MemorySystem};
 use quartz_platform::error::PlatformError;
 use quartz_platform::time::{Duration, SimTime};
@@ -19,6 +18,7 @@ use crate::engine::{
     ThreadId, TimedWait, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
 };
 use crate::failure::SimFailure;
+use crate::hooks::Hooks;
 use crate::{AtomicId, BarrierId, CondId, MutexId, SimAtomicPtr, SimAtomicU64};
 
 /// "Infinitely" far in the future (no yield deadline).
@@ -37,7 +37,12 @@ pub struct ThreadCtx {
     deadline: SimTime,
     next_timer: SimTime,
     pending: Arc<AtomicBool>,
-    in_hook: bool,
+    /// The engine's hooks, taken once when the thread starts: `try_run`
+    /// consumes the [`Engine`](crate::Engine), so `set_hooks` cannot
+    /// change them during a run. A dispatch moves them out while the
+    /// hook runs, so `None` means "inside a hook" (hook operations do
+    /// not re-enter hooks).
+    hooks: Option<Arc<dyn Hooks>>,
     /// Wait time that absorbs spin delay: a POSIX signal interrupts a
     /// blocked `pthread_mutex_lock`, so a delay injected by the signal
     /// handler runs *during* the wait and only its excess over the wait
@@ -57,6 +62,7 @@ impl ThreadCtx {
         core: usize,
         pending: Arc<AtomicBool>,
     ) -> Self {
+        let hooks = Some(shared.hooks.read().clone());
         ThreadCtx {
             shared,
             id,
@@ -65,7 +71,7 @@ impl ThreadCtx {
             deadline: FAR_FUTURE,
             next_timer: FAR_FUTURE,
             pending,
-            in_hook: false,
+            hooks,
             spin_credit: Duration::ZERO,
             cas_weak_seq: 0,
         }
@@ -87,7 +93,11 @@ impl ThreadCtx {
 
     /// The NUMA node local to this thread's core.
     pub fn local_node(&self) -> NodeId {
-        self.platform().topology().local_node_of(CoreId(self.core))
+        self.shared
+            .mem
+            .platform()
+            .topology()
+            .local_node_of(CoreId(self.core))
     }
 
     /// The memory system.
@@ -111,8 +121,7 @@ impl ThreadCtx {
 
     /// Refreshes clock/deadline/timer caches after being scheduled.
     pub(crate) fn resume_bookkeeping(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let st = shared.state.lock();
+        let st = self.shared.state.lock();
         if st.shutdown {
             drop(st);
             panic_any(ShutdownSignal);
@@ -120,8 +129,8 @@ impl ThreadCtx {
         // Publish token ownership and the hand-off for the hang
         // watchdog: `running` names the monopolizing thread, `progress`
         // proves the scheduler is not quiescent.
-        shared.running.store(self.id.0, Ordering::Release);
-        shared.progress.fetch_add(1, Ordering::AcqRel);
+        self.shared.running.store(self.id.0, Ordering::Release);
+        self.shared.progress.fetch_add(1, Ordering::AcqRel);
         self.clock = st.threads[self.id.0].clock;
         let (deadline, next_timer) = compute_caches(&st, self.id.0, self.shared.quantum);
         self.deadline = deadline;
@@ -130,11 +139,21 @@ impl ThreadCtx {
 
     /// Suspends this thread's coroutine until the scheduler loop
     /// resumes it with the token. The caller has already granted the
-    /// token to the next thread (or aborted the run).
-    fn park(&mut self, st: MutexGuard<'_, SchedState>) {
-        drop(st);
+    /// token to the next thread (or aborted the run) and released the
+    /// scheduler lock.
+    fn park(&mut self) {
         crate::coro::suspend();
         self.resume_bookkeeping();
+    }
+
+    /// Runs `f` on the hooks unless already inside a hook: the snapshot
+    /// moves out while `f` runs, so an operation `f` performs sees
+    /// `None` and raises no nested hook.
+    fn dispatch(&mut self, f: impl FnOnce(&dyn Hooks, &mut ThreadCtx)) {
+        if let Some(hooks) = self.hooks.take() {
+            f(&*hooks, self);
+            self.hooks = Some(hooks);
+        }
     }
 
     /// The per-operation boundary: fire due timers, deliver signals,
@@ -149,12 +168,9 @@ impl ThreadCtx {
         if self.next_timer <= self.clock {
             self.fire_due_timers();
         }
-        if self.pending.load(Ordering::Relaxed) && !self.in_hook {
+        if self.pending.load(Ordering::Relaxed) && self.hooks.is_some() {
             self.pending.store(false, Ordering::Relaxed);
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_signal(self);
-            self.in_hook = false;
+            self.dispatch(|h, ctx| h.on_signal(ctx));
         }
         if self.clock > self.deadline {
             self.yield_handoff();
@@ -162,8 +178,7 @@ impl ThreadCtx {
     }
 
     fn fire_due_timers(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         loop {
             // Causality bound: fire events due up to our clock, but
             // never past the lookahead deadline. Once a fire wakes a
@@ -189,17 +204,14 @@ impl ThreadCtx {
                 (Some((dl, thread)), timer) if timer.is_none_or(|(at, _)| dl <= at) => {
                     let mut min_wake = None;
                     expire_timed_wait(&mut st, thread, &mut min_wake);
-                    if let Some(w) = min_wake {
-                        self.deadline = self.deadline.min(w + shared.quantum);
-                    }
+                    trim_deadline(&mut self.deadline, min_wake, self.shared.quantum);
                 }
                 (_, Some((_, idx))) => {
-                    if let Some(woken) = crate::engine::fire_timer(&mut st, idx) {
-                        // An injection woke a parked channel receiver
-                        // (possibly at a clock below ours): bound our
-                        // lookahead so we yield to it promptly.
-                        self.deadline = self.deadline.min(woken + shared.quantum);
-                    }
+                    // An injection may have woken a parked channel
+                    // receiver (possibly at a clock below ours): bound
+                    // our lookahead so we yield to it promptly.
+                    let woken = crate::engine::fire_timer(&mut st, idx);
+                    trim_deadline(&mut self.deadline, woken, self.shared.quantum);
                 }
                 // `(Some(_), None)` always passes the first arm's
                 // guard, so only `(None, None)` reaches here.
@@ -210,8 +222,7 @@ impl ThreadCtx {
     }
 
     fn yield_handoff(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         st.threads[self.id.0].clock = self.clock;
         let min_other = st
             .threads
@@ -222,17 +233,18 @@ impl ThreadCtx {
             .map(|(i, t)| (i, t.clock));
         match min_other {
             None => {
-                let (deadline, next_timer) = compute_caches(&st, self.id.0, shared.quantum);
+                let (deadline, next_timer) = compute_caches(&st, self.id.0, self.shared.quantum);
                 self.deadline = deadline;
                 self.next_timer = next_timer;
             }
             Some((_, c)) if c >= self.clock => {
                 // We are (still) the minimum; extend the lookahead.
-                self.deadline = c + shared.quantum;
+                self.deadline = c + self.shared.quantum;
             }
             Some((i, _)) => {
                 st.granted = Some(i);
-                self.park(st);
+                drop(st);
+                self.park();
             }
         }
     }
@@ -244,17 +256,11 @@ impl ThreadCtx {
     }
 
     pub(crate) fn dispatch_thread_start(&mut self) {
-        let hooks = self.shared.hooks.read().clone();
-        self.in_hook = true;
-        hooks.on_thread_start(self);
-        self.in_hook = false;
+        self.dispatch(|h, ctx| h.on_thread_start(ctx));
     }
 
     pub(crate) fn dispatch_thread_exit(&mut self) {
-        let hooks = self.shared.hooks.read().clone();
-        self.in_hook = true;
-        hooks.on_thread_exit(self);
-        self.in_hook = false;
+        self.dispatch(|h, ctx| h.on_thread_exit(ctx));
     }
 
     // ------------------------------------------------------------------
@@ -265,7 +271,7 @@ impl ThreadCtx {
     /// frequency multiplier (faster clock ⇒ less wall time).
     pub fn compute_ns(&mut self, ns: f64) {
         self.op_boundary();
-        let mult = self.platform().dvfs().multiplier(self.clock);
+        let mult = self.shared.mem.platform().dvfs().multiplier(self.clock);
         self.clock += Duration::from_ns_f64(ns / mult);
     }
 
@@ -273,7 +279,7 @@ impl ThreadCtx {
     /// effective frequency.
     pub fn compute_cycles(&mut self, cycles: u64) {
         self.op_boundary();
-        let p = self.platform();
+        let p = self.shared.mem.platform();
         let mult = p.dvfs().multiplier(self.clock);
         let nominal = p.frequency().cycles_to_duration(cycles);
         self.clock += Duration::from_ns_f64(nominal.as_ns_f64() / mult);
@@ -293,7 +299,7 @@ impl ThreadCtx {
     /// this thread's core (including any injected per-socket TSC skew).
     pub fn rdtscp(&mut self) -> u64 {
         self.op_boundary();
-        let p = self.platform();
+        let p = self.shared.mem.platform();
         let cost = p.op_costs().rdtscp_cycles;
         let mult = p.dvfs().multiplier(self.clock);
         self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
@@ -308,7 +314,7 @@ impl ThreadCtx {
     /// not programmed (see [`quartz_platform::PmuState::rdpmc`]).
     pub fn rdpmc(&mut self, slot: usize) -> Result<u64, PlatformError> {
         self.op_boundary();
-        let p = self.platform();
+        let p = self.shared.mem.platform();
         let cost = p.op_costs().rdpmc_cycles;
         let mult = p.dvfs().multiplier(self.clock);
         self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
@@ -323,7 +329,7 @@ impl ThreadCtx {
     /// Same conditions as [`ThreadCtx::rdpmc`].
     pub fn rdpmc_papi(&mut self, slot: usize) -> Result<u64, PlatformError> {
         self.op_boundary();
-        let p = self.platform();
+        let p = self.shared.mem.platform();
         let cost = p.op_costs().papi_read_cycles;
         let mult = p.dvfs().multiplier(self.clock);
         self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
@@ -333,7 +339,7 @@ impl ThreadCtx {
     /// `clock_gettime(CLOCK_MONOTONIC)`.
     pub fn clock_gettime(&mut self) -> SimTime {
         self.op_boundary();
-        let p = self.platform();
+        let p = self.shared.mem.platform();
         self.clock += p.cycles(p.op_costs().clock_gettime_cycles);
         self.clock
     }
@@ -481,8 +487,7 @@ impl ThreadCtx {
     /// coroutine stack has been freed (DESIGN.md §19).
     pub fn join(&mut self, thread: ThreadId) {
         self.op_boundary();
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         if st.threads[thread.0].status == Status::Finished {
             let floor = st.threads[thread.0].finish_time + Duration::from_ns(HANDOFF_NS);
             self.clock = self.clock.max(floor);
@@ -490,8 +495,9 @@ impl ThreadCtx {
             st.threads[thread.0].joiners.push(self.id.0);
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
         }
     }
 
@@ -524,16 +530,10 @@ impl ThreadCtx {
     /// the thread that released the generation (the "leader").
     pub fn barrier_wait(&mut self, b: BarrierId) -> bool {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_barrier(self);
-            self.in_hook = false;
-        }
+        self.dispatch(|h, ctx| h.before_barrier(ctx));
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         let rec = &mut st.barriers[b.0];
         assert!(
             !rec.waiting.contains(&self.id.0),
@@ -543,8 +543,9 @@ impl ThreadCtx {
             rec.waiting.push(self.id.0);
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
             false
         } else {
             // Last arriver releases the generation: every waiter resumes
@@ -556,7 +557,7 @@ impl ThreadCtx {
                 rec.clock = rec.clock.max(floor);
                 rec.status = Status::Runnable;
             }
-            self.deadline = self.deadline.min(floor + shared.quantum);
+            self.deadline = self.deadline.min(floor + self.shared.quantum);
             true
         }
     }
@@ -568,19 +569,13 @@ impl ThreadCtx {
     /// Panics if this thread already owns the mutex.
     pub fn mutex_lock(&mut self, m: MutexId) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_mutex_lock(self);
-            self.in_hook = false;
-        }
+        self.dispatch(|h, ctx| h.before_mutex_lock(ctx));
         // The hook may have spun (injected delay): let lower-clock
         // threads catch up before we contend for the lock.
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
         loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
+            let mut st = self.shared.state.lock();
             let rec = &mut st.mutexes[m.0];
             assert_ne!(rec.owner, Some(self.id.0), "relock of owned mutex");
             if rec.owner.is_none() {
@@ -591,19 +586,17 @@ impl ThreadCtx {
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
             let wait_start = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
             // On resume the releasing thread transferred ownership to us.
-            if self.pending.load(Ordering::Relaxed) && !self.in_hook {
+            if self.pending.load(Ordering::Relaxed) && self.hooks.is_some() {
                 // A POSIX signal interrupts a blocked pthread_mutex_lock:
                 // its handler runs *without* the lock, concurrently with
                 // the wait, and the thread re-queues afterwards. Pass the
                 // lock on, deliver the signal with the wait as spin
                 // credit, and contend again.
-                {
-                    let mut st = shared.state.lock();
-                    self.release_mutex_locked(&mut st, m);
-                }
+                self.release_mutex(m);
                 self.deliver_signal_after_wait(wait_start);
                 continue;
             }
@@ -614,13 +607,10 @@ impl ThreadCtx {
     /// Delivers a pending signal whose handler logically ran during a
     /// wait that began at `wait_start`.
     fn deliver_signal_after_wait(&mut self, wait_start: SimTime) {
-        if self.pending.load(Ordering::Relaxed) && !self.in_hook {
+        if self.pending.load(Ordering::Relaxed) && self.hooks.is_some() {
             self.pending.store(false, Ordering::Relaxed);
             self.spin_credit = self.clock.saturating_duration_since(wait_start);
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_signal(self);
-            self.in_hook = false;
+            self.dispatch(|h, ctx| h.on_signal(ctx));
             self.spin_credit = Duration::ZERO;
         }
     }
@@ -634,35 +624,21 @@ impl ThreadCtx {
     /// Panics if this thread does not own the mutex.
     pub fn mutex_unlock(&mut self, m: MutexId) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_mutex_unlock(self);
-            self.in_hook = false;
-        }
+        self.dispatch(|h, ctx| h.before_mutex_unlock(ctx));
         // The hook may have spun far ahead (injected delay): give lower-
         // clock threads the chance to reach the lock queue before the
         // release, preserving virtual-time causality.
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        self.release_mutex_locked(&mut st, m);
+        self.release_mutex(m);
     }
 
-    fn release_mutex_locked(&mut self, st: &mut SchedState, m: MutexId) {
-        let rec = &mut st.mutexes[m.0];
-        assert_eq!(rec.owner, Some(self.id.0), "unlock of unowned mutex");
-        if let Some(next) = rec.waiters.pop_front() {
-            rec.owner = Some(next);
-            let floor = self.clock + Duration::from_ns(HANDOFF_NS);
-            let t = &mut st.threads[next];
-            t.clock = t.clock.max(floor);
-            t.status = Status::Runnable;
-            self.deadline = self.deadline.min(t.clock + self.shared.quantum);
-        } else {
-            rec.owner = None;
-        }
+    /// Releases `m` under the scheduler lock, handing it to its first
+    /// waiter at our clock plus the hand-off cost.
+    fn release_mutex(&mut self, m: MutexId) {
+        let mut st = self.shared.state.lock();
+        let woken = release_mutex_locked(&mut st, m, self.id.0, self.clock);
+        trim_deadline(&mut self.deadline, woken, self.shared.quantum);
     }
 
     /// Atomically releases `m` and waits on `c`; re-acquires `m` before
@@ -674,18 +650,19 @@ impl ThreadCtx {
     pub fn cond_wait(&mut self, c: CondId, m: MutexId) {
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         // The glibc-internal unlock inside cond_wait is not the
         // interposed symbol, so no hook fires here (paper interposes
         // pthread_mutex_unlock only).
-        self.release_mutex_locked(&mut st, m);
+        let woken = release_mutex_locked(&mut st, m, self.id.0, self.clock);
+        trim_deadline(&mut self.deadline, woken, self.shared.quantum);
         st.conds[c.0].waiters.push_back((self.id.0, m.0));
         st.threads[self.id.0].status = Status::Blocked;
         st.threads[self.id.0].clock = self.clock;
         let wait_start = self.clock;
-        schedule_next(&shared, &mut st);
-        self.park(st);
+        schedule_next(&self.shared, &mut st);
+        drop(st);
+        self.park();
         // On resume we own the mutex again. Signals delivered during the
         // wait ran concurrently with it (see mutex_lock).
         self.deliver_signal_after_wait(wait_start);
@@ -705,17 +682,11 @@ impl ThreadCtx {
 
     fn notify(&mut self, c: CondId, all: bool) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_cond_notify(self);
-            self.in_hook = false;
-        }
+        self.dispatch(|h, ctx| h.before_cond_notify(ctx));
         // Same causality consideration as mutex_unlock.
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         while let Some((t, m)) = st.conds[c.0].waiters.pop_front() {
             let floor = self.clock + Duration::from_ns(HANDOFF_NS);
             let rec = &mut st.threads[t];
@@ -789,12 +760,7 @@ impl ThreadCtx {
     /// Raises [`Hooks::on_atomic`](crate::Hooks::on_atomic) unless
     /// already inside a hook (hook operations do not re-enter hooks).
     fn dispatch_atomic(&mut self, ev: &AtomicEvent) {
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_atomic(self, ev);
-            self.in_hook = false;
-        }
+        self.dispatch(|h, ctx| h.on_atomic(ctx, ev));
     }
 
     /// The one interposed path every [`SimAtomicU64`]/[`SimAtomicPtr`]
@@ -836,8 +802,7 @@ impl ThreadCtx {
             self.cas_weak_seq
         });
 
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         let spurious = match (weak_seq, st.cas_spurious) {
             (Some(seq), Some(model)) => spurious_roll(model.seed, self.id.0, seq, model.one_in),
             _ => false,
@@ -902,7 +867,7 @@ impl ThreadCtx {
                         .collect();
                     let sim_time = self.clock;
                     crate::engine::fail(
-                        &shared,
+                        &self.shared,
                         &mut st,
                         SimFailure::Livelock {
                             threads,
@@ -964,32 +929,6 @@ impl ThreadCtx {
         register_receiver(&mut st, ch.id().0, self.id.0);
     }
 
-    /// Completes a send under the scheduler lock: payload into the
-    /// host-side buffer, depth bump, one parked receiver woken at this
-    /// instant plus the hand-off cost. Caller has verified room.
-    fn complete_send_locked<T: Send>(&mut self, st: &mut SchedState, ch: &SimChannel<T>, value: T) {
-        // Data and control plane move together under the scheduler
-        // lock: INVARIANT queued == buf.len().
-        ch.push(value);
-        st.channels[ch.id().0].queued += 1;
-        let mut min_wake = None;
-        wake_one_receiver(st, ch.id().0, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + self.shared.quantum);
-        }
-    }
-
-    /// Wakes one blocked sender after this receiver drained a slot (or
-    /// parked, for a rendezvous pairing), trimming our lookahead so the
-    /// freed producer runs promptly.
-    fn wake_sender_after_pop(&mut self, st: &mut SchedState, ch: usize) {
-        let mut min_wake = None;
-        wake_one_blocked_sender(st, ch, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + self.shared.quantum);
-        }
-    }
-
     /// Sends `value` on `ch`, waking one parked receiver at this instant
     /// plus the hand-off cost. On an unbounded channel this never
     /// blocks; on a bounded channel a send against a full queue parks
@@ -1006,21 +945,22 @@ impl ThreadCtx {
         self.clock += Duration::from_ns(LOCK_OP_NS);
         let mut value = Some(value);
         loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
+            let mut st = self.shared.state.lock();
             register_sender(&mut st, ch.id().0, self.id.0);
             let rec = &mut st.channels[ch.id().0];
             assert!(!rec.closed, "send on closed channel");
             if rec.has_room() {
                 let v = value.take().expect("send payload consumed twice");
-                self.complete_send_locked(&mut st, ch, v);
+                let woken = complete_send_locked(&mut st, ch, v, self.clock);
+                trim_deadline(&mut self.deadline, woken, self.shared.quantum);
                 return;
             }
             rec.blocked_senders.push_back(self.id.0);
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
             // Woken by a drained slot, a newly parked rendezvous
             // receiver, or a close. Re-check: with multiple producers
             // another sender may have claimed the slot first.
@@ -1042,8 +982,7 @@ impl ThreadCtx {
     ) -> Result<(), TrySendError<T>> {
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         register_sender(&mut st, ch.id().0, self.id.0);
         let rec = &st.channels[ch.id().0];
         if rec.closed {
@@ -1052,7 +991,8 @@ impl ThreadCtx {
         if !rec.has_room() {
             return Err(TrySendError::Full(value));
         }
-        self.complete_send_locked(&mut st, ch, value);
+        let woken = complete_send_locked(&mut st, ch, value, self.clock);
+        trim_deadline(&mut self.deadline, woken, self.shared.quantum);
         Ok(())
     }
 
@@ -1078,8 +1018,7 @@ impl ThreadCtx {
         let deadline = self.clock + timeout;
         let mut value = Some(value);
         loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
+            let mut st = self.shared.state.lock();
             let me = self.id.0;
             register_sender(&mut st, ch.id().0, me);
             if st.threads[me].timed_wait.is_some_and(|w| w.expired) {
@@ -1096,7 +1035,8 @@ impl ThreadCtx {
             if st.channels[ch.id().0].has_room() {
                 st.threads[me].timed_wait = None;
                 let v = value.take().expect("send payload consumed twice");
-                self.complete_send_locked(&mut st, ch, v);
+                let woken = complete_send_locked(&mut st, ch, v, self.clock);
+                trim_deadline(&mut self.deadline, woken, self.shared.quantum);
                 return Ok(());
             }
             if self.clock >= deadline {
@@ -1114,8 +1054,9 @@ impl ThreadCtx {
             });
             st.threads[me].status = Status::Blocked;
             st.threads[me].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
         }
     }
 
@@ -1126,14 +1067,14 @@ impl ThreadCtx {
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
         loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
+            let mut st = self.shared.state.lock();
             register_receiver(&mut st, ch.id().0, self.id.0);
             let rec = &mut st.channels[ch.id().0];
             if rec.queued > 0 {
                 rec.queued -= 1;
                 let v = ch.pop().expect("channel buffer behind queued count");
-                self.wake_sender_after_pop(&mut st, ch.id().0);
+                let woken = wake_sender_after_pop(&mut st, ch.id().0, self.clock);
+                trim_deadline(&mut self.deadline, woken, self.shared.quantum);
                 return Some(v);
             }
             if rec.closed {
@@ -1144,9 +1085,11 @@ impl ThreadCtx {
             st.threads[self.id.0].clock = self.clock;
             // Rendezvous pairing: our parking is the event a capacity-0
             // blocked sender waits for.
-            self.wake_sender_after_pop(&mut st, ch.id().0);
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            let woken = wake_sender_after_pop(&mut st, ch.id().0, self.clock);
+            trim_deadline(&mut self.deadline, woken, self.shared.quantum);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
             // Woken by a send, an injection, or a close. Re-check: with
             // multiple consumers another receiver may have drained the
             // payload first, in which case we re-park.
@@ -1173,8 +1116,7 @@ impl ThreadCtx {
         self.clock += Duration::from_ns(LOCK_OP_NS);
         let deadline = self.clock + timeout;
         loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
+            let mut st = self.shared.state.lock();
             let me = self.id.0;
             register_receiver(&mut st, ch.id().0, me);
             if st.threads[me].timed_wait.is_some_and(|w| w.expired) {
@@ -1186,7 +1128,8 @@ impl ThreadCtx {
                 rec.queued -= 1;
                 st.threads[me].timed_wait = None;
                 let v = ch.pop().expect("channel buffer behind queued count");
-                self.wake_sender_after_pop(&mut st, ch.id().0);
+                let woken = wake_sender_after_pop(&mut st, ch.id().0, self.clock);
+                trim_deadline(&mut self.deadline, woken, self.shared.quantum);
                 return Ok(v);
             }
             if rec.closed {
@@ -1208,9 +1151,11 @@ impl ThreadCtx {
             });
             st.threads[me].status = Status::Blocked;
             st.threads[me].clock = self.clock;
-            self.wake_sender_after_pop(&mut st, ch.id().0);
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            let woken = wake_sender_after_pop(&mut st, ch.id().0, self.clock);
+            trim_deadline(&mut self.deadline, woken, self.shared.quantum);
+            schedule_next(&self.shared, &mut st);
+            drop(st);
+            self.park();
         }
     }
 
@@ -1223,14 +1168,14 @@ impl ThreadCtx {
     pub fn chan_try_recv<T: Send>(&mut self, ch: &SimChannel<T>) -> Result<T, TryRecvError> {
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         register_receiver(&mut st, ch.id().0, self.id.0);
         let rec = &mut st.channels[ch.id().0];
         if rec.queued > 0 {
             rec.queued -= 1;
             let v = ch.pop().expect("channel buffer behind queued count");
-            self.wake_sender_after_pop(&mut st, ch.id().0);
+            let woken = wake_sender_after_pop(&mut st, ch.id().0, self.clock);
+            trim_deadline(&mut self.deadline, woken, self.shared.quantum);
             return Ok(v);
         }
         if rec.closed {
@@ -1245,14 +1190,72 @@ impl ThreadCtx {
     pub fn chan_close<T: Send>(&mut self, ch: &SimChannel<T>) {
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        let mut st = self.shared.state.lock();
         let mut min_wake = None;
         close_channel(&mut st, ch.id().0, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + shared.quantum);
-        }
+        trim_deadline(&mut self.deadline, min_wake, self.shared.quantum);
     }
+}
+
+/// Bounds a running thread's lookahead `deadline` so that a thread
+/// woken at `min_wake` (if any) runs within one `quantum` of it.
+fn trim_deadline(deadline: &mut SimTime, min_wake: Option<SimTime>, quantum: Duration) {
+    if let Some(w) = min_wake {
+        *deadline = (*deadline).min(w + quantum);
+    }
+}
+
+/// Releases mutex `m`, owned by thread `me`, at instant `at`: ownership
+/// passes to the first waiter, runnable no earlier than `at` plus the
+/// hand-off cost. Returns the woken waiter's clock. Must be called with
+/// the scheduler lock held.
+fn release_mutex_locked(
+    st: &mut SchedState,
+    m: MutexId,
+    me: usize,
+    at: SimTime,
+) -> Option<SimTime> {
+    let rec = &mut st.mutexes[m.0];
+    assert_eq!(rec.owner, Some(me), "unlock of unowned mutex");
+    let Some(next) = rec.waiters.pop_front() else {
+        rec.owner = None;
+        return None;
+    };
+    rec.owner = Some(next);
+    let floor = at + Duration::from_ns(HANDOFF_NS);
+    let t = &mut st.threads[next];
+    t.clock = t.clock.max(floor);
+    t.status = Status::Runnable;
+    Some(t.clock)
+}
+
+/// Completes a send at instant `at` under the scheduler lock: payload
+/// into the host-side buffer, depth bump, one parked receiver woken at
+/// `at` plus the hand-off cost. Returns the woken receiver's clock. The
+/// caller has verified room.
+fn complete_send_locked<T: Send>(
+    st: &mut SchedState,
+    ch: &SimChannel<T>,
+    value: T,
+    at: SimTime,
+) -> Option<SimTime> {
+    // Data and control plane move together under the scheduler
+    // lock: INVARIANT queued == buf.len().
+    ch.push(value);
+    st.channels[ch.id().0].queued += 1;
+    let mut min_wake = None;
+    wake_one_receiver(st, ch.id().0, at, &mut min_wake);
+    min_wake
+}
+
+/// Wakes one blocked sender after a receiver drained a slot of `ch` (or
+/// parked, for a rendezvous pairing) at instant `at`. Returns the woken
+/// sender's clock, so the receiver can trim its lookahead and let the
+/// freed producer run promptly.
+fn wake_sender_after_pop(st: &mut SchedState, ch: usize, at: SimTime) -> Option<SimTime> {
+    let mut min_wake = None;
+    wake_one_blocked_sender(st, ch, at, &mut min_wake);
+    min_wake
 }
 
 /// Computes (yield deadline, next timer fire) for thread `id`.

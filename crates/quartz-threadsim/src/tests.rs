@@ -516,6 +516,56 @@ fn rdtscp_tracks_virtual_time() {
     });
 }
 
+/// A fault injector installed and cleared in the middle of a run sees
+/// exactly the `rdpmc` and `rdtscp` reads in between: with none
+/// installed the fault cell answers from its flag, without its lock,
+/// yet a read ordered after an install always reaches the injector.
+#[test]
+fn fault_injector_installed_mid_run_sees_exactly_the_reads_in_between() {
+    use quartz_platform::{CoreId, FaultInjector, SocketId};
+
+    #[derive(Default)]
+    struct CountingInjector {
+        pmu_reads: AtomicU64,
+        tsc_reads: AtomicU64,
+    }
+    impl FaultInjector for CountingInjector {
+        fn pmu_read_error(&self, _core: CoreId, _slot: usize) -> bool {
+            self.pmu_reads.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+        fn tsc_skew_cycles(&self, _socket: SocketId) -> i64 {
+            self.tsc_reads.fetch_add(1, Ordering::Relaxed);
+            0
+        }
+    }
+
+    let inj = Arc::new(CountingInjector::default());
+    let seen = Arc::clone(&inj);
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        let platform = ctx.platform();
+        let slot = platform
+            .kernel_module()
+            .program_standard_counters(ctx.core())
+            .stalls_l2_pending
+            .slot;
+        let reads = |ctx: &mut ThreadCtx, n: usize| {
+            for _ in 0..n {
+                ctx.rdpmc(slot).expect("programmed counter");
+                ctx.rdtscp();
+            }
+        };
+        reads(ctx, 3);
+        platform.install_fault_injector(seen);
+        reads(ctx, 5);
+        platform.clear_fault_injector();
+        assert!(platform.fault_injector().is_none());
+        reads(ctx, 2);
+    });
+    assert_eq!(inj.pmu_reads.load(Ordering::Relaxed), 5);
+    assert_eq!(inj.tsc_reads.load(Ordering::Relaxed), 5);
+}
+
 #[test]
 fn threads_place_on_distinct_socket0_cores() {
     engine(Architecture::IvyBridge).run(|ctx| {

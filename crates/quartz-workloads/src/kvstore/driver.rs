@@ -114,6 +114,13 @@ pub fn preload(ctx: &mut ThreadCtx, store: &KvStore, quartz: Option<&Quartz>, ke
 /// Typed errors for zero workers, an empty key space, or a get
 /// fraction / zipf skew outside range.
 pub fn validate_config(config: &KvBenchConfig) -> Result<(), WorkloadError> {
+    validated_keys(config).map(drop)
+}
+
+/// Validates `config` and builds the key sampler each simulated thread
+/// reseeds ([`Zipf::reseeded`]), so one run sums the zipf normaliser
+/// once.
+fn validated_keys(config: &KvBenchConfig) -> Result<Zipf, WorkloadError> {
     if config.threads == 0 {
         return Err(WorkloadError::ZeroWorkers {
             what: "kv benchmark threads",
@@ -132,8 +139,7 @@ pub fn validate_config(config: &KvBenchConfig) -> Result<(), WorkloadError> {
         });
     }
     // Delegates the theta check so both paths report identically.
-    Zipf::try_new(config.preload_keys, config.zipf_theta, config.seed)?;
-    Ok(())
+    Zipf::try_new(config.preload_keys, config.zipf_theta, config.seed)
 }
 
 /// Runs the timed put/get phase from the calling (coordinator) thread.
@@ -163,7 +169,7 @@ pub fn try_run_kv_benchmark(
     quartz: Option<Arc<Quartz>>,
     config: &KvBenchConfig,
 ) -> Result<KvBenchResult, WorkloadError> {
-    validate_config(config)?;
+    let keys = validated_keys(config)?;
     let t0 = ctx.now();
     let tallies: Arc<parking_lot::Mutex<(u64, u64, Duration, Duration)>> = Arc::new(
         parking_lot::Mutex::new((0, 0, Duration::ZERO, Duration::ZERO)),
@@ -174,12 +180,8 @@ pub fn try_run_kv_benchmark(
         let quartz = quartz.clone();
         let cfg = *config;
         let tallies = Arc::clone(&tallies);
+        let mut zipf = keys.reseeded(cfg.seed.wrapping_add(t as u64 * 1_000_003));
         kids.push(ctx.spawn(move |c| {
-            let mut zipf = Zipf::new(
-                cfg.preload_keys.max(1),
-                cfg.zipf_theta,
-                cfg.seed.wrapping_add(t as u64 * 1_000_003),
-            );
             let mut coin = cfg.seed.wrapping_mul(t as u64 | 1);
             let (mut gets, mut puts) = (0u64, 0u64);
             let (mut get_time, mut put_time) = (Duration::ZERO, Duration::ZERO);

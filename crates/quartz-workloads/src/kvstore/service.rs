@@ -278,6 +278,12 @@ impl ServiceConfig {
 /// protection layer (enforcement without a deadline, zero-width
 /// admission window, out-of-range jitter, breaker without a cooldown).
 pub fn validate_service_config(config: &ServiceConfig) -> Result<(), WorkloadError> {
+    validated_keys(config).map(drop)
+}
+
+/// Validates `config` and builds the key sampler its connections reseed
+/// ([`Zipf::reseeded`]), so one install sums the zipf normaliser once.
+fn validated_keys(config: &ServiceConfig) -> Result<Zipf, WorkloadError> {
     if config.connections == 0 {
         return Err(WorkloadError::ZeroWorkers {
             what: "service connections",
@@ -363,8 +369,7 @@ pub fn validate_service_config(config: &ServiceConfig) -> Result<(), WorkloadErr
             bounds: "(0, inf) ns",
         });
     }
-    Zipf::try_new(config.preload_keys, config.zipf_theta, config.seed)?;
-    Ok(())
+    Zipf::try_new(config.preload_keys, config.zipf_theta, config.seed)
 }
 
 /// What the service measured.
@@ -751,7 +756,7 @@ impl KvService {
         config: ServiceConfig,
         faults: Arc<dyn ServiceFaultInjector>,
     ) -> Result<Self, WorkloadError> {
-        validate_service_config(&config)?;
+        let keys = validated_keys(&config)?;
         let queues: Vec<SimChannel<Request>> =
             (0..config.workers).map(|_| engine.channel()).collect();
         let gate_ps = Arc::new(AtomicU64::new(u64::MAX));
@@ -772,7 +777,7 @@ impl KvService {
             let conn_seed = config
                 .seed
                 .wrapping_add((conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-            let mut zipf = Zipf::try_new(config.preload_keys, config.zipf_theta, conn_seed)?;
+            let mut zipf = keys.reseeded(conn_seed);
             let mut rng = Rng::new(conn_seed ^ 0xC0FF_EE00_D15E_A5E5);
             let mut remaining = base + u64::from(conn < extra);
             let get_fraction = config.get_fraction;
@@ -1191,6 +1196,53 @@ mod tests {
                 ),
                 "{cfg:?}"
             );
+        }
+    }
+
+    #[test]
+    fn install_rejects_an_empty_key_space_and_bad_skew_with_typed_errors() {
+        let platform = Platform::new(PlatformConfig::new(Architecture::SandyBridge));
+        let mem = Arc::new(MemorySystem::new(platform, MemSimConfig::default()));
+        let engine = Engine::new(mem);
+        let empty = ServiceConfig {
+            preload_keys: 0,
+            ..ServiceConfig::default()
+        };
+        for err in [
+            validate_service_config(&empty).unwrap_err(),
+            KvService::try_install(&engine, None, empty).err().unwrap(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    WorkloadError::EmptyDomain {
+                        what: "service key space"
+                    }
+                ),
+                "{err:?}"
+            );
+        }
+        for theta in [-0.1, 1.0, 1.5, f64::NAN] {
+            let skewed = ServiceConfig {
+                zipf_theta: theta,
+                ..ServiceConfig::default()
+            };
+            for err in [
+                validate_service_config(&skewed).unwrap_err(),
+                KvService::try_install(&engine, None, skewed).err().unwrap(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        WorkloadError::OutOfRange {
+                            what: "zipf theta",
+                            bounds: "[0, 1)",
+                            ..
+                        }
+                    ),
+                    "theta {theta}: {err:?}"
+                );
+            }
         }
     }
 

@@ -9,13 +9,18 @@ use quartz_platform::seed::Rng;
 use crate::error::WorkloadError;
 
 /// A Zipf-distributed sampler over `0..n`.
+///
+/// Construction sums `n` powers for the normaliser ζ(n, θ); streams
+/// that share `n` and `θ` should build one sampler and derive the rest
+/// with [`Zipf::reseeded`], which copies the normaliser.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^θ`: a draw whose `u · ζ(n)` falls below it is key 1.
+    second_bound: f64,
     rng: Rng,
 }
 
@@ -57,12 +62,22 @@ impl Zipf {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Ok(Zipf {
             n,
-            theta,
             alpha,
             zetan,
             eta,
+            second_bound: 1.0 + 0.5f64.powf(theta),
             rng: Rng::new(seed),
         })
+    }
+
+    /// The same distribution drawn from a fresh stream seeded with
+    /// `seed`: the key sequence equals `Zipf::try_new(n, θ, seed)`'s,
+    /// without summing the normaliser again.
+    pub fn reseeded(&self, seed: u64) -> Zipf {
+        Zipf {
+            rng: Rng::new(seed),
+            ..self.clone()
+        }
     }
 
     /// Samples the next key.
@@ -72,7 +87,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.second_bound {
             return 1;
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -137,6 +152,26 @@ mod tests {
             (0..50).map(|_| z.sample()).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reseeded_streams_draw_the_keys_of_fresh_samplers() {
+        for n in [1u64, 2, 1000, 20_000] {
+            for theta in [0.0, 0.5, 0.9, 0.99] {
+                let shared = Zipf::new(n, theta, 1);
+                for seed in [0u64, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+                    let mut fresh = Zipf::try_new(n, theta, seed).unwrap();
+                    let mut derived = shared.reseeded(seed);
+                    for i in 0..10_000 {
+                        assert_eq!(
+                            derived.sample(),
+                            fresh.sample(),
+                            "n {n}, theta {theta}, seed {seed}: draw {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

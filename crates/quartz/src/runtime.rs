@@ -1,6 +1,6 @@
 //! The emulator runtime: epoch management, monitor, hooks.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -139,6 +139,9 @@ pub struct Quartz {
     /// statistics "provide useful feedback to the user" for epoch-size
     /// tuning, and the trace is the finest-grained form of it).
     pub(crate) trace: Mutex<Option<Vec<EpochRecord>>>,
+    /// Whether `trace` is `Some`; written under its lock, so an epoch
+    /// close with tracing off takes no lock.
+    pub(crate) tracing: AtomicBool,
 }
 
 impl Quartz {
@@ -196,6 +199,7 @@ impl Quartz {
             degradation: Arc::new(DegradationCounters::default()),
             init_time: Mutex::new(Duration::ZERO),
             trace: Mutex::new(None),
+            tracing: AtomicBool::new(false),
         }))
     }
 
@@ -331,7 +335,9 @@ impl Quartz {
     /// Enables or disables per-epoch tracing. Enabling clears any
     /// previous trace.
     pub fn set_epoch_trace(&self, enabled: bool) {
-        *self.trace.lock() = enabled.then(Vec::new);
+        let mut trace = self.trace.lock();
+        self.tracing.store(enabled, Ordering::Release);
+        *trace = enabled.then(Vec::new);
     }
 
     /// The epoch trace collected so far (empty if tracing is disabled).
@@ -846,16 +852,20 @@ impl Quartz {
         };
         drop(owner); // critical section ends before tracing and spinning
 
-        if let Some(trace) = self.trace.lock().as_mut() {
-            trace.push(EpochRecord {
-                thread: ctx.thread_id().0,
-                reason,
-                closed_at: t0,
-                stall_cycles: d.stalls,
-                misses: d.misses(),
-                computed_delay: delay,
-                injected,
-            });
+        // With tracing off the flag answers without the trace lock;
+        // Acquire pairs with the Release store in `set_epoch_trace`.
+        if self.tracing.load(Ordering::Acquire) {
+            if let Some(trace) = self.trace.lock().as_mut() {
+                trace.push(EpochRecord {
+                    thread: ctx.thread_id().0,
+                    reason,
+                    closed_at: t0,
+                    stall_cycles: d.stalls,
+                    misses: d.misses(),
+                    computed_delay: delay,
+                    injected,
+                });
+            }
         }
 
         if !injected.is_zero() {

@@ -1087,6 +1087,52 @@ fn epoch_trace_records_each_epoch() {
     assert!(quartz.epoch_trace().is_empty());
 }
 
+/// Tracing switched on and off in the middle of a run records exactly
+/// the epochs closed in between: with tracing off an epoch close
+/// answers from a flag, without the trace lock, yet a close ordered
+/// after `set_epoch_trace(true)` is always recorded.
+#[test]
+fn epoch_trace_toggled_mid_run_records_exactly_the_epochs_in_between() {
+    let mem = machine(Architecture::IvyBridge, true);
+    let engine = Engine::new(Arc::clone(&mem));
+    let quartz = Quartz::new(
+        QuartzConfig::new(NvmTarget::new(400.0)).with_max_epoch(Duration::from_us(50)),
+        mem,
+    )
+    .unwrap();
+    quartz.attach(&engine).unwrap();
+    let q = Arc::clone(&quartz);
+    let traced = Arc::new(parking_lot::Mutex::new(0u64));
+    let t = Arc::clone(&traced);
+    engine.run(move |ctx| {
+        chase(ctx, NodeId(0), 5_000);
+        let before = q.stats().totals.epochs();
+        assert!(before > 0, "epochs closed before tracing");
+        let t0 = ctx.now();
+        q.set_epoch_trace(true);
+        chase(ctx, NodeId(0), 5_000);
+        let trace = q.epoch_trace();
+        let during = q.stats().totals.epochs() - before;
+        let t1 = ctx.now();
+        q.set_epoch_trace(false);
+        assert!(during > 0, "epochs closed while tracing");
+        assert_eq!(trace.len() as u64, during, "one record per epoch");
+        assert!(
+            trace.iter().all(|r| (t0..=t1).contains(&r.closed_at)),
+            "every record closed inside the window"
+        );
+        chase(ctx, NodeId(0), 5_000);
+        assert!(q.epoch_trace().is_empty(), "nothing recorded while off");
+        *t.lock() = before + during;
+    });
+    let traced = *traced.lock();
+    assert!(
+        quartz.stats().totals.epochs() > traced,
+        "epochs kept closing after tracing stopped"
+    );
+    assert!(quartz.epoch_trace().is_empty());
+}
+
 /// Regression test for the seed's epoch-close race.
 ///
 /// The seed's `end_epoch` was check-then-act across two lock

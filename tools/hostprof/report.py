@@ -4,7 +4,10 @@
 Maps each sampled program counter to its loaded object. Samples inside
 the profiled executable are resolved with `addr2line` to a function and
 a source line; samples elsewhere are counted per object. Prints the self
-share of the top 25 functions and source lines.
+share of the top 25 functions and source lines, then the owners of the
+synchronisation samples: those whose innermost line is lock, reference
+count or atomic code, grouped by the innermost repository frame of their
+inline chain.
 
     python3 tools/hostprof/report.py hostprof.1234.out
 
@@ -21,6 +24,23 @@ import sys
 TOP = 25
 MIN_SAMPLES = 100
 MIN_IN_BINARY = 0.9
+
+# The workspace's own lock. Its frames only forward to the lock, so the
+# owner of a sample inside it is the caller that took it.
+LOCK_SHIM = "crates/parking_lot/"
+# Innermost lines that make a sample a synchronisation sample: std's
+# mutex and rwlock, poison checks, `Arc` reference counts, atomics, and
+# the lock shim.
+SYNC_CODE = (
+    "library/std/src/sys/sync/mutex/futex.rs",
+    "library/std/src/sys/sync/rwlock/futex.rs",
+    "library/std/src/sync/poison",
+    "library/alloc/src/sync.rs",
+    "library/core/src/sync/atomic.rs",
+    LOCK_SHIM,
+)
+# Repository frames, which own a synchronisation sample.
+OWNER_ROOTS = ("crates/", "hostbench/")
 
 
 def load(path):
@@ -54,20 +74,42 @@ def short_path(path):
     return os.path.basename(path)
 
 
+def short_loc(loc):
+    file, _, line = loc.rpartition(":")
+    line = line.split(" ")[0]
+    return "%s:%s" % (short_path(file), line) if file != "??" else "??"
+
+
 def resolve_binary(binary, addrs):
-    """address -> (function, file:line) through one addr2line process."""
+    """address -> inline chain [(function, file:line), ...], innermost
+    first, through one addr2line process."""
     query = "".join("%#x\n" % a for a in addrs)
     out = subprocess.run(
-        ["addr2line", "-a", "-f", "-C", "-e", binary],
+        ["addr2line", "-a", "-i", "-f", "-C", "-e", binary],
         input=query, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    resolved = {}
-    for i, addr in enumerate(addrs):
-        func, loc = out[3 * i + 1], out[3 * i + 2]
-        file, _, line = loc.rpartition(":")
-        line = line.split(" ")[0]
-        resolved[addr] = (func, "%s:%s" % (short_path(file), line) if file != "??" else "??")
-    return resolved
+    # Each address prints as its own "0x…" line followed by one
+    # function/location pair per inlined frame.
+    chains, i = [], 0
+    while i < len(out):
+        if out[i].startswith("0x"):
+            chains.append([])
+            i += 1
+        else:
+            chains[-1].append((out[i], short_loc(out[i + 1])))
+            i += 2
+    return dict(zip(addrs, chains))
+
+
+def sync_owner(chain):
+    """The owner of a synchronisation sample, or None if the sample's
+    innermost line is not synchronisation code."""
+    if not any(root in chain[0][1] for root in SYNC_CODE):
+        return None
+    for func, loc in chain:
+        if loc.startswith(OWNER_ROOTS) and not loc.startswith(LOCK_SHIM):
+            return "%s  %s" % (loc, func)
+    return "(no repository frame)  %s" % chain[-1][0]
 
 
 def table(title, counter, total):
@@ -94,14 +136,19 @@ def main():
           % (path, total, in_binary, 100.0 * share, exe))
 
     funcs, lines, outside = collections.Counter(), collections.Counter(), collections.Counter()
+    owners = collections.Counter()
     if in_binary:
         bias = objects[0][0]
         vaddrs = [pc - bias for pc in by_object[0]]
         resolved = resolve_binary(exe, sorted(set(vaddrs)))
         for v in vaddrs:
-            func, loc = resolved[v]
+            chain = resolved[v]
+            func, loc = chain[0]
             funcs[func] += 1
             lines[loc] += 1
+            owner = sync_owner(chain)
+            if owner is not None:
+                owners[owner] += 1
     for obj, obj_pcs in by_object.items():
         if obj != 0:
             name = "(unmapped)" if obj is None else os.path.basename(objects[obj][1])
@@ -111,6 +158,9 @@ def main():
         table("top functions inside the binary", funcs, total)
         table("top source lines inside the binary", lines, total)
         table("outside the binary, by object", outside, total)
+        synced = sum(owners.values())
+        table("synchronisation samples (%.1f%% of all), by innermost repository frame"
+              % (100.0 * synced / total), owners, total)
 
     failed = []
     if total < MIN_SAMPLES:
