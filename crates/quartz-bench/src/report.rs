@@ -36,12 +36,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for building rows from display values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -54,4 +54,3 @@ pub use error::MemSimError;
 pub use persist::{NoopObserver, PersistObserver, WritebackCause};
 pub use stats::MemStats;
 pub use system::{AccessResult, MemorySystem, ServiceLevel};
-pub use trace::{Trace, TraceError, TraceEvent};

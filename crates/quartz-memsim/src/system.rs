@@ -27,7 +27,6 @@ use crate::persist::{PersistObserver, WritebackCause};
 use crate::prefetch::Prefetcher;
 use crate::stats::MemStats;
 use crate::tlb::Tlb;
-use crate::trace::{Trace, TraceEvent, TraceRecorder};
 
 /// Which level of the hierarchy served a load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -137,8 +136,6 @@ struct Inner {
     /// plain bool, so observer-off runs never inspect (let alone clone)
     /// the `Option<Arc<dyn …>>` per event.
     obs_on: bool,
-    /// Optional memory-event trace recorder (see [`crate::trace`]).
-    rec: Option<Box<TraceRecorder>>,
 }
 
 impl Inner {
@@ -150,14 +147,6 @@ impl Inner {
             if let Some(obs) = self.observer.as_deref() {
                 emit(obs);
             }
-        }
-    }
-
-    /// Appends a trace event iff recording is on.
-    #[inline]
-    fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.push(ev());
         }
     }
 
@@ -253,7 +242,6 @@ impl MemorySystem {
             pf_buf: Vec::new(),
             observer: None,
             obs_on: false,
-            rec: None,
         };
         let allocator =
             NumaAllocator::new(topo.num_nodes(), config.node_capacity, config.tlb.hugepages);
@@ -328,57 +316,6 @@ impl MemorySystem {
         g.observer = observer;
     }
 
-    /// Starts recording the memory-event trace (see [`crate::trace`]).
-    /// Any trace being recorded so far is discarded.
-    pub fn start_recording(&self) {
-        self.inner.lock().rec = Some(Box::default());
-    }
-
-    /// Stops recording and returns the captured [`Trace`] (empty if
-    /// recording was never started).
-    pub fn stop_recording(&self) -> Trace {
-        match self.inner.lock().rec.take() {
-            Some(rec) => rec.finish(),
-            None => Trace::default(),
-        }
-    }
-
-    /// Whether a trace is currently being recorded.
-    pub fn is_recording(&self) -> bool {
-        self.inner.lock().rec.is_some()
-    }
-
-    /// Re-issues every recorded event against this machine under one
-    /// lock acquisition — the replay fast path ([`Trace::replay`] is
-    /// the public entry point). Events are *not* re-recorded.
-    pub(crate) fn replay_events(&self, events: &[TraceEvent]) {
-        let mut g = self.inner.lock();
-        for ev in events {
-            match ev {
-                TraceEvent::Load { core, addr, now } => {
-                    let r = self.load_inner(&mut g, *core, *addr, *now);
-                    self.account_load(&mut g, *core, r, *now);
-                }
-                TraceEvent::LoadBatch { core, addrs, now } => {
-                    self.load_batch_inner(&mut g, *core, addrs, *now);
-                }
-                TraceEvent::Store { core, addr, now } => {
-                    self.store_inner(&mut g, *core, *addr, *now);
-                }
-                TraceEvent::StoreStream { core, addr, now } => {
-                    self.store_stream_inner(&mut g, *core, *addr, *now);
-                }
-                TraceEvent::Flush { core, addr, now } => {
-                    self.flush_inner(&mut g, *core, *addr, *now);
-                }
-                TraceEvent::FlushOpt { core, addr, now } => {
-                    self.flush_opt_inner(&mut g, *core, *addr, *now);
-                }
-                TraceEvent::InvalidateCaches => self.invalidate_caches_inner(&mut g),
-            }
-        }
-    }
-
     /// The currently installed persistence observer, if any. Answers
     /// "none" from an atomic flag, without the memory system's lock.
     pub fn persist_observer(&self) -> Option<Arc<dyn PersistObserver>> {
@@ -399,9 +336,7 @@ impl MemorySystem {
     /// the equivalent of the paper's cache invalidation between trials
     /// (§4.7). Dirty lines are dropped, not written back.
     pub fn invalidate_caches(&self) {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::InvalidateCaches);
-        self.invalidate_caches_inner(&mut g);
+        self.invalidate_caches_inner(&mut self.inner.lock());
     }
 
     fn invalidate_caches_inner(&self, g: &mut Inner) {
@@ -464,7 +399,6 @@ impl MemorySystem {
     /// workload, so it is the per-access throughput ceiling.
     pub fn load(&self, core: usize, addr: Addr, now: SimTime) -> AccessResult {
         let mut g = self.inner.lock();
-        g.record(|| TraceEvent::Load { core, addr, now });
         let g = &mut *g;
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
@@ -491,13 +425,7 @@ impl MemorySystem {
     /// limit; the returned duration is the total exposed stall, which is
     /// what `STALLS_L2_PENDING` accumulates.
     pub fn load_batch(&self, core: usize, addrs: &[Addr], now: SimTime) -> Duration {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::LoadBatch {
-            core,
-            addrs: addrs.to_vec(),
-            now,
-        });
-        self.load_batch_inner(&mut g, core, addrs, now)
+        self.load_batch_inner(&mut self.inner.lock(), core, addrs, now)
     }
 
     fn load_batch_inner(
@@ -594,7 +522,7 @@ impl MemorySystem {
 
     /// Core load path: resolves the service level, updates caches,
     /// triggers prefetches. Does not touch PMU/stat accounting (the
-    /// batch and replay paths account separately).
+    /// batch path accounts separately).
     fn load_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> AccessResult {
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
@@ -792,9 +720,7 @@ impl MemorySystem {
     /// when the store buffer is full — which is why the paper's epoch
     /// model cannot see slow NVM writes and `pflush` exists (§3.1).
     pub fn store(&self, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::Store { core, addr, now });
-        self.store_inner(&mut g, core, addr, now)
+        self.store_inner(&mut self.inner.lock(), core, addr, now)
     }
 
     fn store_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
@@ -859,9 +785,7 @@ impl MemorySystem {
     /// bypasses the caches. Used by the STREAM benchmark to measure raw
     /// memory bandwidth (paper §3.1, Fig. 8).
     pub fn store_stream(&self, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::StoreStream { core, addr, now });
-        self.store_stream_inner(&mut g, core, addr, now)
+        self.store_stream_inner(&mut self.inner.lock(), core, addr, now)
     }
 
     fn store_stream_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
@@ -924,9 +848,7 @@ impl MemorySystem {
     /// until the writeback is accepted by the memory controller. The basis
     /// of the emulator's `pflush` (paper §3.1).
     pub fn flush(&self, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::Flush { core, addr, now });
-        self.flush_inner(&mut g, core, addr, now)
+        self.flush_inner(&mut self.inner.lock(), core, addr, now)
     }
 
     fn flush_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
@@ -951,9 +873,7 @@ impl MemorySystem {
     /// returns the instant the writeback completes, for `pcommit`-style
     /// draining (paper §6).
     pub fn flush_opt(&self, core: usize, addr: Addr, now: SimTime) -> (Duration, SimTime) {
-        let mut g = self.inner.lock();
-        g.record(|| TraceEvent::FlushOpt { core, addr, now });
-        self.flush_opt_inner(&mut g, core, addr, now)
+        self.flush_opt_inner(&mut self.inner.lock(), core, addr, now)
     }
 
     fn flush_opt_inner(
@@ -1416,6 +1336,130 @@ mod tests {
         assert!(m.stats().total_loads() > 0);
         m.reset_stats();
         assert_eq!(m.stats().total_loads(), 0);
+    }
+
+    /// One memory operation, with the address it accesses.
+    enum Op {
+        Load(Addr),
+        LoadBatch(Vec<Addr>),
+        Store(Addr),
+        StoreStream(Addr),
+        Flush(Addr),
+        FlushOpt(Addr),
+        InvalidateCaches,
+    }
+
+    /// Issues `op` from `core` at `now` and returns what it costs the
+    /// core.
+    fn issue(m: &MemorySystem, core: usize, op: &Op, now: SimTime) -> Duration {
+        match op {
+            Op::Load(a) => m.load(core, *a, now).stall,
+            Op::LoadBatch(addrs) => m.load_batch(core, addrs, now),
+            Op::Store(a) => m.store(core, *a, now),
+            Op::StoreStream(a) => m.store_stream(core, *a, now),
+            Op::Flush(a) => m.flush(core, *a, now),
+            Op::FlushOpt(a) => m.flush_opt(core, *a, now).0,
+            Op::InvalidateCaches => {
+                m.invalidate_caches();
+                Duration::ZERO
+            }
+        }
+    }
+
+    /// A live run that keeps every operation it issues with its core
+    /// and issue time, so the same list can be issued into another
+    /// machine.
+    struct LiveRun {
+        mem: MemorySystem,
+        now: SimTime,
+        issued: Vec<(usize, Op, SimTime)>,
+    }
+
+    impl LiveRun {
+        fn new(mem: MemorySystem) -> Self {
+            LiveRun {
+                mem,
+                now: SimTime::ZERO,
+                issued: Vec::new(),
+            }
+        }
+
+        /// Issues `op` now and advances the clock by its cost.
+        fn issue(&mut self, core: usize, op: Op) {
+            let cost = issue(&self.mem, core, &op, self.now);
+            self.issued.push((core, op, self.now));
+            self.now += cost;
+        }
+
+        /// Issues the kept list into `m` at the recorded times.
+        fn issue_into(&self, m: &MemorySystem) {
+            for (core, op, now) in &self.issued {
+                issue(m, *core, op, *now);
+            }
+        }
+    }
+
+    /// The live run's operations, issued at their recorded times into a
+    /// fresh, identically configured machine, reproduce the
+    /// ground-truth stats exactly.
+    #[test]
+    fn replay_matches_live_run_byte_identically() {
+        let mut live = LiveRun::new(mem(Architecture::IvyBridge));
+        let a = live.mem.alloc(NodeId(0), 1 << 16).unwrap();
+        for i in 0..200u64 {
+            live.issue(0, Op::Load(a.offset_by((i % 50) * 64)));
+            live.issue(1, Op::Store(a.offset_by((i % 13) * 64)));
+            if i % 7 == 0 {
+                live.issue(0, Op::Flush(a.offset_by((i % 13) * 64)));
+            }
+            if i % 11 == 0 {
+                let batch = (0..4).map(|k| a.offset_by(8192 + k * 64)).collect();
+                live.issue(0, Op::LoadBatch(batch));
+            }
+            if i % 17 == 0 {
+                live.issue(1, Op::StoreStream(a.offset_by(16_384 + i * 64)));
+            }
+            if i % 19 == 0 {
+                live.issue(1, Op::FlushOpt(a.offset_by((i % 13) * 64)));
+            }
+        }
+        live.issue(0, Op::InvalidateCaches);
+
+        // Same config, fresh machine — but allocate the same region so
+        // node mapping matches.
+        let fresh = mem(Architecture::IvyBridge);
+        fresh.alloc(NodeId(0), 1 << 16).unwrap();
+        live.issue_into(&fresh);
+        assert_eq!(live.mem.stats(), fresh.stats());
+    }
+
+    /// The same operations issued into a machine with a smaller L1 load
+    /// as often but hit the L1 less.
+    #[test]
+    fn replay_under_different_config_diverges() {
+        let mut live = LiveRun::new(mem(Architecture::IvyBridge));
+        let a = live.mem.alloc(NodeId(0), 1 << 18).unwrap();
+        // A 16 KiB working set looped repeatedly: resident in the
+        // default 32 KiB L1, thrashes a 4 KiB one.
+        for i in 0..2_000u64 {
+            live.issue(0, Op::Load(a.offset_by((i % 256) * 64)));
+        }
+
+        let platform =
+            Platform::new(PlatformConfig::new(Architecture::IvyBridge).with_perfect_counters());
+        let mut cfg = MemSimConfig::default().without_jitter();
+        cfg.l1 = crate::config::CacheGeometry::new(4 * 1024, 2); // tiny L1
+        let small = MemorySystem::new(platform, cfg);
+        small.alloc(NodeId(0), 1 << 18).unwrap();
+        live.issue_into(&small);
+        let (live, small) = (live.mem.stats(), small.stats());
+        assert_eq!(live.total_loads(), small.total_loads(), "same access count");
+        assert!(
+            small.l1_hits < live.l1_hits,
+            "smaller L1 must hit less: {} vs {}",
+            small.l1_hits,
+            live.l1_hits
+        );
     }
 }
 

@@ -1,12 +1,10 @@
-//! Memory-event trace record/replay.
+//! The `QTR1` binary encoding of a memory-event stream.
 //!
-//! A [`Trace`] captures one workload's memory events (loads, stores,
-//! flushes) with their simulated issue times, so the *same* access
-//! stream can be replayed through differently configured machines —
-//! different cache geometries, latencies, or TLB settings — without
-//! re-running the workload's compute. This follows the trace-driven
-//! re-evaluation methodology (Ramulator 2.0 style): an
-//! O(workload × configs) sensitivity sweep becomes O(workload + configs).
+//! Nothing produces a [`Trace`] any more. Quartz is execution-driven:
+//! the delay it injects changes the interleaving it emulates, so a
+//! recorded access stream cannot stand in for a Quartz run, and the
+//! memory system no longer records one (DESIGN.md §14). Only this codec
+//! and its format tests are left, and the next step deletes them too.
 //!
 //! # Encoding
 //!
@@ -23,27 +21,14 @@
 //!
 //! All delta arithmetic is wrapping, so any `u64` round-trips
 //! losslessly.
-//!
-//! # What replay preserves
-//!
-//! Replay re-issues every event against a fresh machine under one lock
-//! acquisition: cache/TLB/prefetch state transitions, coherence snoops,
-//! DRAM-queue reservations, stats and PMU accounting all follow the
-//! target machine's configuration. Replay on a machine configured
-//! identically to the recording run yields byte-identical
-//! [`crate::MemStats`]. What replay does *not* do is re-close the
-//! timing loop: events fire at their **recorded** issue times, so on a
-//! differently configured machine the inter-access spacing still
-//! reflects the recording machine's latencies (see DESIGN.md §14).
 
 use crate::addr::Addr;
-use crate::system::MemorySystem;
 use quartz_platform::time::SimTime;
 
-/// One recorded memory event, with its simulated issue time.
+/// One memory event, with its simulated issue time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A dependent load ([`MemorySystem::load`]).
+    /// A dependent load ([`crate::MemorySystem::load`]).
     Load {
         /// Issuing core.
         core: usize,
@@ -52,7 +37,7 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// A batch of independent loads ([`MemorySystem::load_batch`]).
+    /// A batch of independent loads ([`crate::MemorySystem::load_batch`]).
     LoadBatch {
         /// Issuing core.
         core: usize,
@@ -61,7 +46,7 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// A write-back store ([`MemorySystem::store`]).
+    /// A write-back store ([`crate::MemorySystem::store`]).
     Store {
         /// Issuing core.
         core: usize,
@@ -70,7 +55,7 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// A non-temporal streaming store ([`MemorySystem::store_stream`]).
+    /// A non-temporal streaming store ([`crate::MemorySystem::store_stream`]).
     StoreStream {
         /// Issuing core.
         core: usize,
@@ -79,7 +64,7 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// A synchronous `clflush` ([`MemorySystem::flush`]).
+    /// A synchronous `clflush` ([`crate::MemorySystem::flush`]).
     Flush {
         /// Issuing core.
         core: usize,
@@ -88,7 +73,7 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// An asynchronous `clflushopt` ([`MemorySystem::flush_opt`]).
+    /// An asynchronous `clflushopt` ([`crate::MemorySystem::flush_opt`]).
     FlushOpt {
         /// Issuing core.
         core: usize,
@@ -97,28 +82,8 @@ pub enum TraceEvent {
         /// Simulated issue time.
         now: SimTime,
     },
-    /// A whole-hierarchy invalidation
-    /// ([`MemorySystem::invalidate_caches`]).
+    /// A whole-hierarchy invalidation ([`crate::MemorySystem::invalidate_caches`]).
     InvalidateCaches,
-}
-
-/// Accumulates events while recording is on
-/// ([`MemorySystem::start_recording`]).
-#[derive(Debug, Default)]
-pub(crate) struct TraceRecorder {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceRecorder {
-    pub(crate) fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
-    pub(crate) fn finish(self) -> Trace {
-        Trace {
-            events: self.events,
-        }
-    }
 }
 
 /// Decoding failure.
@@ -158,7 +123,7 @@ const OP_FLUSH: u8 = 4;
 const OP_FLUSH_OPT: u8 = 5;
 const OP_INVALIDATE: u8 = 6;
 
-/// A recorded memory-event stream.
+/// A memory-event stream.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -229,7 +194,7 @@ fn ctx_of(ctxs: &mut Vec<Ctx>, core: usize) -> &mut Ctx {
 }
 
 impl Trace {
-    /// Number of recorded events.
+    /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -237,19 +202,6 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The recorded events, in issue order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Replays every event against `mem` (typically a freshly built
-    /// machine). One lock acquisition covers the whole trace, which is
-    /// what makes replay sweeps fast. Events fire at their recorded
-    /// issue times; they are not re-recorded even if `mem` is recording.
-    pub fn replay(&self, mem: &MemorySystem) {
-        mem.replay_events(&self.events);
     }
 
     /// Serializes to the compact binary form (see module docs).
@@ -355,14 +307,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MemSimConfig;
-    use quartz_platform::{Architecture, NodeId, Platform, PlatformConfig};
-
-    fn mem() -> MemorySystem {
-        let platform =
-            Platform::new(PlatformConfig::new(Architecture::IvyBridge).with_perfect_counters());
-        MemorySystem::new(platform, MemSimConfig::default().without_jitter())
-    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -458,87 +402,5 @@ mod tests {
         // Opcode 7 is unassigned.
         let bad = [b'Q', b'T', b'R', b'1', 1, 7u8 << 5];
         assert_eq!(Trace::decode(&bad), Err(TraceError::BadOpcode(7 << 5)));
-    }
-
-    /// Recording a live run and replaying it into a fresh, identically
-    /// configured machine must reproduce the ground-truth stats exactly.
-    #[test]
-    fn replay_matches_live_run_byte_identically() {
-        let live = mem();
-        live.start_recording();
-        assert!(live.is_recording());
-        let a = live.alloc(NodeId(0), 1 << 16).unwrap();
-        let mut now = SimTime::ZERO;
-        for i in 0..200u64 {
-            let r = live.load(0, a.offset_by((i % 50) * 64), now);
-            now += r.stall;
-            now += live.store(1, a.offset_by((i % 13) * 64), now);
-            if i % 7 == 0 {
-                now += live.flush(0, a.offset_by((i % 13) * 64), now);
-            }
-            if i % 11 == 0 {
-                let batch: Vec<Addr> = (0..4).map(|k| a.offset_by(8192 + k * 64)).collect();
-                now += live.load_batch(0, &batch, now);
-            }
-            if i % 17 == 0 {
-                now += live.store_stream(1, a.offset_by(16_384 + i * 64), now);
-            }
-        }
-        live.invalidate_caches();
-        let trace = live.stop_recording();
-        assert!(!live.is_recording());
-        assert!(trace.len() > 200);
-
-        // Same config, fresh machine — but allocate the same region so
-        // node mapping matches.
-        let fresh = mem();
-        fresh.alloc(NodeId(0), 1 << 16).unwrap();
-        let decoded = Trace::decode(&trace.encode()).unwrap();
-        decoded.replay(&fresh);
-        assert_eq!(live.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn stop_without_start_yields_empty_trace() {
-        let m = mem();
-        assert!(!m.is_recording());
-        assert!(m.stop_recording().is_empty());
-    }
-
-    /// Replaying into a differently configured machine exercises the
-    /// whole event surface without panicking and produces *different*
-    /// cache behaviour (that's the point of a config sweep).
-    #[test]
-    fn replay_under_different_config_diverges() {
-        let live = mem();
-        live.start_recording();
-        let a = live.alloc(NodeId(0), 1 << 18).unwrap();
-        let mut now = SimTime::ZERO;
-        // A 16 KiB working set looped repeatedly: resident in the
-        // default 32 KiB L1, thrashes a 4 KiB one.
-        for i in 0..2_000u64 {
-            let r = live.load(0, a.offset_by((i % 256) * 64), now);
-            now += r.stall;
-        }
-        let trace = live.stop_recording();
-
-        let platform =
-            Platform::new(PlatformConfig::new(Architecture::IvyBridge).with_perfect_counters());
-        let mut cfg = MemSimConfig::default().without_jitter();
-        cfg.l1 = crate::config::CacheGeometry::new(4 * 1024, 2); // tiny L1
-        let small = MemorySystem::new(platform, cfg);
-        small.alloc(NodeId(0), 1 << 18).unwrap();
-        trace.replay(&small);
-        assert_eq!(
-            live.stats().total_loads(),
-            small.stats().total_loads(),
-            "same access count"
-        );
-        assert!(
-            small.stats().l1_hits < live.stats().l1_hits,
-            "smaller L1 must hit less: {} vs {}",
-            small.stats().l1_hits,
-            live.stats().l1_hits
-        );
     }
 }

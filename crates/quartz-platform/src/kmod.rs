@@ -161,15 +161,6 @@ impl KernelModule {
         Ok(self.program_asymmetric_counters(core))
     }
 
-    /// Programs an explicit event list on `core` (advanced use).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any event is unavailable on this family.
-    pub fn program_counters(&self, core: usize, events: &[EventKind]) -> Result<(), PlatformError> {
-        self.pmu.program_bank(CoreId(core), events)
-    }
-
     /// Enables or disables user-mode `rdpmc` on a core.
     pub fn set_user_rdpmc(&self, core: usize, enabled: bool) {
         self.pmu.set_user_rdpmc(CoreId(core), enabled);
@@ -183,21 +174,6 @@ impl KernelModule {
     pub fn set_dimm_throttle(&self, socket: SocketId, value: u32) -> Result<(), PlatformError> {
         self.thermal
             .set_throttle_socket(&self.token(), socket, value)
-    }
-
-    /// Sets the throttle on a single channel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`KernelModule::set_dimm_throttle`].
-    pub fn set_dimm_throttle_channel(
-        &self,
-        socket: SocketId,
-        channel: usize,
-        value: u32,
-    ) -> Result<(), PlatformError> {
-        self.thermal
-            .set_throttle(&self.token(), socket, channel, value)
     }
 
     /// Typed view of the thermal registers.

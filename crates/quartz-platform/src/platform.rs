@@ -200,11 +200,6 @@ impl Platform {
         &self.inner.pmu
     }
 
-    /// Shared handle to the PMU (for the memory simulator).
-    pub fn pmu_arc(&self) -> Arc<PmuState> {
-        Arc::clone(&self.inner.pmu)
-    }
-
     /// The DVFS model.
     pub fn dvfs(&self) -> &DvfsModel {
         &self.inner.dvfs

@@ -70,11 +70,6 @@ impl FidelityModel {
         self.seed
     }
 
-    /// Returns a copy with a different run seed (used between trials).
-    pub fn with_seed(self, seed: u64) -> Self {
-        FidelityModel { seed, ..self }
-    }
-
     fn amplitude(&self, event: EventKind) -> f64 {
         match event {
             // Stall-cycle counters (load- and store-side) share the

@@ -33,7 +33,7 @@ pub struct PmuState {
     raw: Vec<[AtomicU64; NUM_RAW_EVENTS]>,
     banks: Vec<Mutex<CounterBank>>,
     user_rdpmc: Vec<AtomicBool>,
-    fidelity: Mutex<FidelityModel>,
+    fidelity: FidelityModel,
     faults: FaultCell,
 }
 
@@ -48,7 +48,7 @@ impl PmuState {
                 .map(|_| Mutex::new(CounterBank::default()))
                 .collect(),
             user_rdpmc: (0..num_cores).map(|_| AtomicBool::new(false)).collect(),
-            fidelity: Mutex::new(fidelity),
+            fidelity,
             faults: FaultCell::new(),
         }
     }
@@ -109,21 +109,9 @@ impl PmuState {
         }
     }
 
-    /// Replaces the fidelity seed (between experiment trials).
-    pub fn set_fidelity_seed(&self, seed: u64) {
-        let mut f = self.fidelity.lock();
-        *f = f.with_seed(seed);
-    }
-
-    /// Swaps in a whole fidelity model (e.g. [`FidelityModel::perfect`]
-    /// for ablations).
-    pub fn set_fidelity(&self, model: FidelityModel) {
-        *self.fidelity.lock() = model;
-    }
-
-    /// The current fidelity model.
+    /// The fidelity model applied on every read, fixed at construction.
     pub fn fidelity(&self) -> FidelityModel {
-        *self.fidelity.lock()
+        self.fidelity
     }
 
     pub(crate) fn program_bank(
@@ -162,7 +150,7 @@ impl PmuState {
             .event_at(index)
             .ok_or(PlatformError::CounterNotProgrammed { core, index })?;
         let true_val = self.true_value(core.0, event);
-        let mut val = self.fidelity.lock().distort(event, true_val);
+        let mut val = self.fidelity.distort(event, true_val);
         if let Some(inj) = self.faults.get() {
             if inj.pmu_read_error(core, index) {
                 return Err(PlatformError::TransientPmuRead { core, index });
@@ -170,11 +158,6 @@ impl PmuState {
             val = val.wrapping_add(inj.pmu_counter_offset(core, index));
         }
         Ok(val & COUNTER_MASK)
-    }
-
-    /// The event programmed in slot `index` of a core's bank, if any.
-    pub fn programmed_event(&self, core: CoreId, index: usize) -> Option<EventKind> {
-        self.banks[core.0].lock().event_at(index)
     }
 }
 

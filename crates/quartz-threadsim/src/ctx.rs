@@ -275,16 +275,6 @@ impl ThreadCtx {
         self.clock += Duration::from_ns_f64(ns / mult);
     }
 
-    /// Advances the clock by `cycles` of computation at the current
-    /// effective frequency.
-    pub fn compute_cycles(&mut self, cycles: u64) {
-        self.op_boundary();
-        let p = self.shared.mem.platform();
-        let mult = p.dvfs().multiplier(self.clock);
-        let nominal = p.frequency().cycles_to_duration(cycles);
-        self.clock += Duration::from_ns_f64(nominal.as_ns_f64() / mult);
-    }
-
     /// Spins for exactly `d` of wall time — the TSC-based delay-injection
     /// loop of the emulator (paper §3.1). The invariant TSC makes this
     /// exact regardless of DVFS.

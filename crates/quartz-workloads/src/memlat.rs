@@ -67,11 +67,6 @@ impl MemLatResult {
     pub fn latency_per_iteration_ns(&self) -> f64 {
         self.elapsed.as_ns_f64() / self.iterations as f64
     }
-
-    /// Average time per individual access in nanoseconds.
-    pub fn latency_per_access_ns(&self) -> f64 {
-        self.elapsed.as_ns_f64() / self.accesses as f64
-    }
 }
 
 /// Runs MemLat on the calling simulated thread.

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use quartz::model;
 use quartz_memsim::cache::{Cache, Lookup};
-use quartz_memsim::{Addr, CacheGeometry, NumaAllocator};
-use quartz_platform::pmu::{EventKind, FidelityModel};
+use quartz_memsim::{Addr, CacheGeometry, MemorySystem, NumaAllocator};
+use quartz_platform::pmu::{EventKind, FidelityModel, RawEvent};
 use quartz_platform::time::{Duration, Frequency, SimTime};
 use quartz_platform::{Architecture, NodeId};
 use quartz_workloads::zipf::Zipf;
@@ -534,16 +534,17 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Trace record/replay fidelity.
+    // Memsim determinism.
     // ------------------------------------------------------------------
 
     /// For ANY access sequence — loads, batches, stores, streaming
-    /// stores, flushes — replaying the recorded trace into a fresh
-    /// machine of the same configuration reproduces `MemStats`
-    /// byte-identically, and the compact binary encoding round-trips.
+    /// stores, flushes — the live run's operations, issued at their
+    /// recorded times into a fresh machine of the same configuration,
+    /// reproduce `MemStats` and the ground-truth PMU counts that Quartz
+    /// reads through `rdpmc`, exactly.
     #[test]
     fn trace_replay_reproduces_stats(
-        ops in proptest::collection::vec((0u8..6, 0u64..2_048, 0u64..2), 1..250),
+        ops in proptest::collection::vec((0u8..6, 0u64..2_048, 0usize..2), 1..250),
     ) {
         let build = || {
             let mem = quartz_bench::MachineSpec::new(Architecture::IvyBridge)
@@ -552,32 +553,39 @@ proptest! {
             let base = mem.alloc(NodeId(0), 2_048 * 64).unwrap();
             (mem, base)
         };
-        let (live, base) = build();
-        live.start_recording();
-        let mut now = SimTime::ZERO;
-        for &(op, line, core) in &ops {
+        let issue = |mem: &MemorySystem, base: Addr, (op, line, core): (u8, u64, usize), now| {
             let a = base.offset_by(line * 64);
-            let core = core as usize;
-            let d = match op {
-                0 => live.load(core, a, now).stall,
-                1 => live.load_batch(
+            match op {
+                0 => mem.load(core, a, now).stall,
+                1 => mem.load_batch(
                     core,
                     &[a, base.offset_by(((line + 1) % 2_048) * 64)],
                     now,
                 ),
-                2 => live.store(core, a, now),
-                3 => live.store_stream(core, a, now),
-                4 => live.flush(core, a, now),
-                _ => live.flush_opt(core, a, now).0,
-            };
-            now += d + Duration::from_ns(1);
+                2 => mem.store(core, a, now),
+                3 => mem.store_stream(core, a, now),
+                4 => mem.flush(core, a, now),
+                _ => mem.flush_opt(core, a, now).0,
+            }
+        };
+        let (live, base) = build();
+        let mut now = SimTime::ZERO;
+        let mut issued = Vec::with_capacity(ops.len());
+        for &op in &ops {
+            issued.push(now);
+            now += issue(&live, base, op, now) + Duration::from_ns(1);
         }
-        let trace = live.stop_recording();
-        let decoded = quartz_memsim::Trace::decode(&trace.encode()).expect("roundtrip");
-        prop_assert_eq!(decoded.len(), trace.len());
-        let (fresh, _) = build();
-        decoded.replay(&fresh);
+        let (fresh, base) = build();
+        for (&op, &at) in ops.iter().zip(&issued) {
+            issue(&fresh, base, op, at);
+        }
         prop_assert_eq!(live.stats(), fresh.stats());
+        for core in 0..2 {
+            for ev in RawEvent::ALL {
+                let raw = |m: &MemorySystem| m.platform().pmu().raw(core, ev);
+                prop_assert_eq!(raw(&live), raw(&fresh), "core {} {:?}", core, ev);
+            }
+        }
     }
 
     #[test]
