@@ -2,13 +2,26 @@
 //!
 //! The way metadata is laid out structure-of-arrays: one contiguous tag
 //! array probed as a slice (the per-access hot path is a batched compare
-//! over `ways` consecutive `u64`s), with dirty bits and recency stamps in
-//! parallel arrays touched only on the slot that matched. An absent line
-//! is encoded by the `INVALID_LINE` sentinel tag, so probing never
-//! consults a separate validity array.
+//! over `ways` consecutive `u64`s), with dirty bits in a parallel array
+//! touched only on the slot that matched. An absent line is encoded by
+//! the `INVALID_LINE` sentinel tag, so probing never consults the valid
+//! masks below.
+//!
+//! Replacement state is one recency word and one valid mask per set, so
+//! no fill scans the set for its victim. The recency word holds the
+//! set's way indices as 4-bit fields in recency order (field 0 the most
+//! recent); every hit and fill moves its way to the front. A fill takes
+//! the lowest free way by index, or else the way in the last field.
+//! That is exactly the victim of per-way LRU stamps: a free way always
+//! won, and when the set is full every way has been filled since it was
+//! last free, so the order of the fields is the order of the stamps.
+//! Four bits per way cap a cache at [`MAX_WAYS`] ways.
+//!
+//! [`Cache::fill_after_miss`] fills a line the caller has just missed on
+//! without probing for it again.
 
 use crate::addr::Addr;
-use crate::config::CacheGeometry;
+use crate::config::{CacheGeometry, MAX_WAYS};
 
 /// Result of probing or filling a cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +46,15 @@ pub struct Evicted {
 /// `u64::MAX / 64`.
 const INVALID_LINE: u64 = u64::MAX;
 
+/// A 1 in every 4-bit field of a recency word.
+const FIELD_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The top bit of every 4-bit field of a recency word.
+const FIELD_HIGHS: u64 = 0x8888_8888_8888_8888;
+
+/// The recency word of a fresh set: way `i` in field `i`.
+const IDENTITY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
 /// One cache instance (structure-of-arrays way metadata).
 #[derive(Clone, Debug)]
 pub struct Cache {
@@ -40,13 +62,19 @@ pub struct Cache {
     /// its low bits.
     set_mask: u64,
     ways: usize,
+    /// Valid mask of a full set: the low `ways` bits.
+    full: u16,
+    /// Bit offset of the least recent field of a recency word.
+    lru_shift: u32,
     /// Line tags, `sets * ways` long; `INVALID_LINE` = empty way.
     tags: Vec<u64>,
     /// Dirty bit per way slot, parallel to `tags`.
     dirty: Vec<bool>,
-    /// Monotonic recency stamp per way slot; larger = more recent.
-    lru: Vec<u64>,
-    tick: u64,
+    /// Recency word per set: way indices in 4-bit fields, most recent
+    /// first. The low `ways` fields always hold each way exactly once.
+    order: Vec<u64>,
+    /// Valid mask per set: bit `w` is set iff way `w` holds a line.
+    valid: Vec<u16>,
 }
 
 impl Cache {
@@ -54,57 +82,90 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless the set count is a power of two. Sets are indexed
-    /// by mask, so any other count would silently alias sets; the check
-    /// is repeated here because `CacheGeometry`'s fields are public and
-    /// a struct literal bypasses [`CacheGeometry::new`].
+    /// Panics unless the set count is a power of two and the cache has
+    /// at most [`MAX_WAYS`] ways. Sets are indexed by mask, so any other
+    /// count would silently alias sets, and a recency word has room for
+    /// 16 ways; the checks are repeated here because `CacheGeometry`'s
+    /// fields are public and a struct literal bypasses
+    /// [`CacheGeometry::new`].
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(
             sets.is_power_of_two(),
             "cache set count {sets} must be a power of two"
         );
-        let slots = (sets as usize) * geom.ways;
+        let ways = geom.ways;
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "cache needs 1 to {MAX_WAYS} ways, got {ways}"
+        );
+        let slots = (sets as usize) * ways;
         Cache {
             set_mask: sets - 1,
-            ways: geom.ways,
+            ways,
+            full: ((1u32 << ways) - 1) as u16,
+            lru_shift: 4 * (ways as u32 - 1),
             tags: vec![INVALID_LINE; slots],
             dirty: vec![false; slots],
-            lru: vec![0; slots],
-            tick: 0,
+            order: vec![IDENTITY_ORDER; sets as usize],
+            valid: vec![0; sets as usize],
         }
     }
 
     #[inline]
-    fn set_base(&self, line: u64) -> usize {
-        ((line & self.set_mask) as usize) * self.ways
+    fn set_of(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
     }
 
-    /// Probes the set for `line`; returns the absolute slot index on a
-    /// hit. This is the batched line probe every lookup funnels through:
-    /// one linear compare over the set's contiguous tag slice.
+    /// Probes `set` for `line`; returns the way on a hit. This is the
+    /// batched line probe every lookup funnels through: one linear
+    /// compare over the set's contiguous tag slice.
     #[inline]
-    fn probe(&self, line: u64) -> Option<usize> {
-        let base = self.set_base(line);
+    fn probe(&self, set: usize, line: u64) -> Option<usize> {
+        let base = set * self.ways;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == line)
-            .map(|w| base + w)
+    }
+
+    /// Moves `way` to the front of `set`'s recency word.
+    #[inline]
+    fn promote(&mut self, set: usize, way: usize) {
+        let order = self.order[set];
+        let way = way as u64;
+        if order & 0xF == way {
+            return;
+        }
+        // `way`'s field is the one that `order ^ way-in-every-field`
+        // zeroes, and the lowest zero field is the lowest marked one (a
+        // borrow out of a zero field marks only fields above it). The
+        // fields from `ways` up never move and keep the indices
+        // `ways..16`, so the match is unique.
+        let x = order ^ (FIELD_ONES * way);
+        let marks = x.wrapping_sub(FIELD_ONES) & !x & FIELD_HIGHS;
+        // The top bit of `way`'s field, and every bit up to it: the
+        // fields from the front through `way`'s, which shift back one
+        // field while `way` takes the front.
+        let top = marks & marks.wrapping_neg();
+        let through = (top << 1).wrapping_sub(1);
+        self.order[set] = ((order << 4) & through) | (order & !through) | way;
     }
 
     /// Probes for a line without modifying replacement state.
     pub fn contains(&self, addr: Addr) -> bool {
-        self.probe(addr.line()).is_some()
+        let line = addr.line();
+        self.probe(self.set_of(line), line).is_some()
     }
 
     /// Accesses a line: on hit updates LRU and returns `Hit`; on miss
     /// returns `Miss` without filling.
     #[inline]
     pub fn touch(&mut self, addr: Addr) -> Lookup {
-        self.tick += 1;
-        match self.probe(addr.line()) {
-            Some(slot) => {
-                self.lru[slot] = self.tick;
+        let line = addr.line();
+        let set = self.set_of(line);
+        match self.probe(set, line) {
+            Some(way) => {
+                self.promote(set, way);
                 Lookup::Hit
             }
             None => Lookup::Miss,
@@ -114,87 +175,102 @@ impl Cache {
     /// Like [`Cache::touch`] but also marks the line dirty on hit.
     #[inline]
     pub fn touch_dirty(&mut self, addr: Addr) -> Lookup {
-        self.tick += 1;
-        match self.probe(addr.line()) {
-            Some(slot) => {
-                self.lru[slot] = self.tick;
-                self.dirty[slot] = true;
+        let line = addr.line();
+        let set = self.set_of(line);
+        match self.probe(set, line) {
+            Some(way) => {
+                self.promote(set, way);
+                self.dirty[set * self.ways + way] = true;
                 Lookup::Hit
             }
             None => Lookup::Miss,
         }
     }
 
-    /// Fills a line (after a miss), evicting the LRU way if the set is
-    /// full. `dirty` marks the incoming line (store-allocate).
+    /// Fills a line, evicting the LRU way if the set is full. `dirty`
+    /// marks the incoming line (store-allocate). A line already present
+    /// (e.g. racing prefetch) is refreshed: it becomes the most recent
+    /// and its dirty bit absorbs `dirty`.
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
         let line = addr.line();
-        // Already present (e.g. racing prefetch): refresh.
-        if let Some(slot) = self.probe(line) {
-            self.lru[slot] = tick;
-            self.dirty[slot] |= dirty;
+        let set = self.set_of(line);
+        if let Some(way) = self.probe(set, line) {
+            self.promote(set, way);
+            self.dirty[set * self.ways + way] |= dirty;
             return None;
         }
-        let base = self.set_base(line);
-        // Free way, or failing that the LRU victim — one scan finds
-        // both: an empty slot always wins (its stamp can never exceed a
-        // valid line's, but prefer it explicitly so stamp resets are
-        // safe).
-        let mut victim = base;
-        let mut victim_lru = u64::MAX;
-        for slot in base..base + self.ways {
-            if self.tags[slot] == INVALID_LINE {
-                victim = slot;
-                break;
-            }
-            if self.lru[slot] < victim_lru {
-                victim = slot;
-                victim_lru = self.lru[slot];
-            }
-        }
-        let evicted = if self.tags[victim] == INVALID_LINE {
-            None
+        self.fill_way(set, line, dirty)
+    }
+
+    /// Fills a line the caller has just missed on, with nothing in
+    /// between that could have brought it in: [`Cache::fill`] without
+    /// its probe. Debug builds assert that the line is absent.
+    #[inline]
+    pub fn fill_after_miss(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
+        let line = addr.line();
+        let set = self.set_of(line);
+        debug_assert!(
+            self.probe(set, line).is_none(),
+            "fill_after_miss of resident line {line}"
+        );
+        self.fill_way(set, line, dirty)
+    }
+
+    /// Puts an absent `line` into `set`: the lowest free way, or else
+    /// the least recent one.
+    #[inline]
+    fn fill_way(&mut self, set: usize, line: u64, dirty: bool) -> Option<Evicted> {
+        let valid = self.valid[set];
+        let way = if valid == self.full {
+            ((self.order[set] >> self.lru_shift) & 0xF) as usize
         } else {
-            Some(Evicted {
-                line: self.tags[victim],
-                dirty: self.dirty[victim],
-            })
+            (!valid).trailing_zeros() as usize
         };
-        self.tags[victim] = line;
-        self.dirty[victim] = dirty;
-        self.lru[victim] = tick;
+        let slot = set * self.ways + way;
+        let evicted = if (valid & (1 << way)) != 0 {
+            Some(Evicted {
+                line: self.tags[slot],
+                dirty: self.dirty[slot],
+            })
+        } else {
+            None
+        };
+        self.tags[slot] = line;
+        self.dirty[slot] = dirty;
+        self.valid[set] = valid | (1 << way);
+        self.promote(set, way);
         evicted
     }
 
     /// Invalidates a line if present, returning whether it was dirty
-    /// (`clflush` semantics).
+    /// (`clflush` semantics). The way keeps its place in the recency
+    /// word: a free way is taken by index, and it moves to the front
+    /// when it is filled again.
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        match self.probe(addr.line()) {
-            Some(slot) => {
-                let dirty = self.dirty[slot];
-                self.tags[slot] = INVALID_LINE;
-                self.dirty[slot] = false;
-                self.lru[slot] = 0;
-                Some(dirty)
-            }
-            None => None,
-        }
+        let line = addr.line();
+        let set = self.set_of(line);
+        let way = self.probe(set, line)?;
+        let slot = set * self.ways + way;
+        let dirty = self.dirty[slot];
+        self.tags[slot] = INVALID_LINE;
+        self.dirty[slot] = false;
+        self.valid[set] &= !(1 << way);
+        Some(dirty)
     }
 
     /// Invalidates everything (used between experiment trials, like the
     /// paper's "we invalidate caches between the runs", §4.7 footnote).
+    /// Recency words are left as they are: no set is full until each of
+    /// its ways has been filled, and so moved to the front, again.
     pub fn invalidate_all(&mut self) {
         self.tags.fill(INVALID_LINE);
         self.dirty.fill(false);
-        self.lru.fill(0);
-        self.tick = 0;
+        self.valid.fill(0);
     }
 
     /// Number of valid lines (for tests).
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_LINE).count()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 }
 
@@ -315,6 +391,16 @@ mod tests {
         let _ = Cache::new(CacheGeometry {
             size_bytes: 3 * 5 * 64,
             ways: 5,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 16 ways, got 17")]
+    fn struct_literal_geometry_with_seventeen_ways_rejected() {
+        // One set of 17 ways: `CacheGeometry::new` would refuse this.
+        let _ = Cache::new(CacheGeometry {
+            size_bytes: 17 * 64,
+            ways: 17,
         });
     }
 

@@ -2,6 +2,10 @@
 
 use crate::addr::LINE_SIZE;
 
+/// Most ways a cache may have: a set's recency word holds one 4-bit way
+/// index per way (see [`crate::cache`]).
+pub const MAX_WAYS: usize = 16;
+
 /// Geometry of one set-associative cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -16,10 +20,15 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics unless `size_bytes` is a multiple of `ways * 64` and the
-    /// resulting set count is a power of two.
+    /// Panics unless `ways` is 1 to [`MAX_WAYS`], `size_bytes` is a
+    /// multiple of `ways * 64` and the resulting set count is a power of
+    /// two.
     pub fn new(size_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
+        assert!(
+            ways <= MAX_WAYS,
+            "cache needs 1 to {MAX_WAYS} ways, got {ways}"
+        );
         assert_eq!(
             size_bytes % (ways as u64 * LINE_SIZE),
             0,
@@ -213,6 +222,14 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_rejected() {
         let _ = CacheGeometry::new(1024, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 16 ways, got 17")]
+    fn seventeen_ways_rejected() {
+        // One set of 17 ways: a power-of-two set count, so only the way
+        // cap can refuse it.
+        let _ = CacheGeometry::new(17 * 64, 17);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use quartz_platform::{NodeId, Platform};
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::alloc::NumaAllocator;
-use crate::cache::{Cache, Lookup};
+use crate::cache::{Cache, Evicted, Lookup};
 use crate::config::MemSimConfig;
 use crate::dram::DramChannels;
 use crate::error::MemSimError;
@@ -171,6 +171,10 @@ struct Latencies {
     hitm: Duration,
     /// A TLB miss's page walk.
     walk: Duration,
+    /// Local DRAM's band as `(average, jitter half-width)` in ns.
+    local_dram: (f64, f64),
+    /// Remote DRAM's band, likewise.
+    remote_dram: (f64, f64),
 }
 
 /// The simulated memory system of one machine.
@@ -252,6 +256,14 @@ impl MemorySystem {
             l3: Duration::from_ns_f64(params.l3_ns),
             hitm: Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR),
             walk: Duration::from_ns_f64(config.tlb.walk_ns),
+            local_dram: (
+                params.local_dram_ns.avg_ns as f64,
+                params.local_dram_ns.jitter_ns(),
+            ),
+            remote_dram: (
+                params.remote_dram_ns.avg_ns as f64,
+                params.remote_dram_ns.jitter_ns(),
+            ),
         };
         let core_socket = (0..cores)
             .map(|c| topo.socket_of(quartz_platform::CoreId(c)).0)
@@ -376,17 +388,15 @@ impl MemorySystem {
     }
 
     fn dram_latency(&self, core: usize, node: NodeId, seq: u64, addr: Addr) -> (Duration, bool) {
-        let params = self.platform.arch_params();
         let local = self.is_local(core, node);
-        let band = if local {
-            params.local_dram_ns
+        let (mut ns, jitter_ns) = if local {
+            self.lat.local_dram
         } else {
-            params.remote_dram_ns
+            self.lat.remote_dram
         };
-        let mut ns = band.avg_ns as f64;
         if self.config.jitter {
             let key = splitmix64(self.config.seed ^ addr.0.wrapping_mul(0x9E37_79B9) ^ seq);
-            ns += band.jitter_ns() * (2.0 * unit_f64(key) - 1.0);
+            ns += jitter_ns * (2.0 * unit_f64(key) - 1.0);
         }
         (Duration::from_ns_f64(ns), local)
     }
@@ -557,7 +567,10 @@ impl MemorySystem {
             };
         }
 
-        // L2 miss: the prefetcher observes the demand stream here.
+        // L2 miss: the prefetcher observes the demand stream here. Its
+        // candidates go into the scratch buffer, which goes back to
+        // `Inner` with its capacity once they are issued, so a miss that
+        // triggers prefetches allocates nothing.
         let mut pf = std::mem::take(&mut g.pf_buf);
         pf.clear();
         g.prefetchers[core].observe(addr.line(), &mut pf);
@@ -577,15 +590,16 @@ impl MemorySystem {
                 g.l2[owner].invalidate(addr);
                 g.dirty_owner.remove(&addr.line());
                 // The modified data lands in the shared L3 (dirty) and
-                // in the requester's private caches.
-                self.fill_l3(g, socket, addr, true, now);
+                // in the requester's private caches. This path never
+                // probed the L3, so its fill probes for the line.
+                let ev = g.l3[socket].fill(addr, true);
+                self.retire_l3_victim(g, ev, now);
                 self.fill_l2_l1(g, core, addr, false, now);
                 let stall = extra + self.lat.hitm;
-                let pf_owned = std::mem::take(&mut pf);
-                g.pf_buf = pf;
-                for line in pf_owned {
+                for &line in &pf {
                     self.issue_prefetch(g, core, line, now);
                 }
+                g.pf_buf = pf;
                 return AccessResult {
                     stall,
                     served: ServiceLevel::SnoopHitm,
@@ -627,11 +641,10 @@ impl MemorySystem {
         }
 
         // Issue prefetches for candidate lines.
-        let pf_owned = std::mem::take(&mut pf);
-        g.pf_buf = pf;
-        for line in pf_owned {
+        for &line in &pf {
             self.issue_prefetch(g, core, line, now);
         }
+        g.pf_buf = pf;
 
         AccessResult {
             stall: extra + stall,
@@ -660,9 +673,14 @@ impl MemorySystem {
         g.inflight.insert(line, ready);
     }
 
+    // The fill helpers below fill a line their caller has just missed on
+    // in that cache, so each skips the fill's probe
+    // (`Cache::fill_after_miss`). The one fill that may find its line
+    // resident, the HITM transfer's L3 fill, calls `Cache::fill`.
+
     fn fill_l1(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
         g.mark_active(core);
-        if let Some(ev) = g.l1[core].fill(addr, dirty) {
+        if let Some(ev) = g.l1[core].fill_after_miss(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
                 // Dirty L1 victim moves to L2.
@@ -675,7 +693,7 @@ impl MemorySystem {
 
     fn fill_l2_only(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
         g.mark_active(core);
-        if let Some(ev) = g.l2[core].fill(addr, dirty) {
+        if let Some(ev) = g.l2[core].fill_after_miss(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
                 // The modified line leaves the private domain.
@@ -696,7 +714,13 @@ impl MemorySystem {
     }
 
     fn fill_l3(&self, g: &mut Inner, socket: usize, addr: Addr, dirty: bool, now: SimTime) {
-        if let Some(ev) = g.l3[socket].fill(addr, dirty) {
+        let ev = g.l3[socket].fill_after_miss(addr, dirty);
+        self.retire_l3_victim(g, ev, now);
+    }
+
+    /// Drops an L3 victim's in-flight record and writes it back if dirty.
+    fn retire_l3_victim(&self, g: &mut Inner, ev: Option<Evicted>, now: SimTime) {
+        if let Some(ev) = ev {
             g.inflight.remove(&ev.line);
             if ev.dirty {
                 // Dirty L3 victim: write back to its home node.
@@ -803,6 +827,9 @@ impl MemorySystem {
         g.l2[core].invalidate(addr);
         let socket = self.socket_of(core);
         g.l3[socket].invalidate(addr);
+        // The line left the L3, so a prefetch of it is no longer in
+        // flight there (as in `invalidate_line`).
+        g.inflight.remove(&addr.line());
         let node = addr.node();
         let t = g.channels.reserve(node, addr.line(), now);
         g.stats.stream_stores += 1;
@@ -961,6 +988,12 @@ mod tests {
                 Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR)
             );
             assert_eq!(m.lat.walk, Duration::from_ns_f64(m.config().tlb.walk_ns));
+            for (cached, band) in [
+                (m.lat.local_dram, params.local_dram_ns),
+                (m.lat.remote_dram, params.remote_dram_ns),
+            ] {
+                assert_eq!(cached, (band.avg_ns as f64, band.jitter_ns()));
+            }
             assert_eq!(STREAM_STORE_COST, Duration::from_ns_f64(0.5));
             assert_eq!(FLUSH_OPT_COST, Duration::from_ns_f64(1.0));
             assert_eq!(FLUSH_BASE, Duration::from_ns_f64(4.0));
@@ -1203,6 +1236,44 @@ mod tests {
             throttled < full / 4.0,
             "throttled {throttled} vs full {full}"
         );
+    }
+
+    /// A streaming store takes its line out of the L3 and with it the
+    /// line's in-flight prefetch record, so the stream's next prefetch
+    /// of that line is issued rather than skipped as already in flight.
+    #[test]
+    fn streaming_store_drops_the_in_flight_record() {
+        let m = mem(Architecture::IvyBridge);
+        let a = m.alloc(NodeId(0), 1 << 16).unwrap();
+        let line = |k: u64| a.offset_by(k * LINE_SIZE);
+        let mut now = SimTime::ZERO;
+        // Three sequential loads reach the trigger: lines 3.. are
+        // prefetched and in flight.
+        for k in 0..3 {
+            now += m.load(0, line(k), now).stall;
+        }
+        let five = line(5);
+        {
+            let g = m.inner.lock();
+            assert!(g.l3[0].contains(five));
+            assert!(g.inflight.contains_key(&five.line()));
+        }
+        now += m.store_stream(0, five, now);
+        {
+            let g = m.inner.lock();
+            assert!(!g.l3[0].contains(five), "the streaming store evicts");
+            assert!(
+                !g.inflight.contains_key(&five.line()),
+                "no in-flight record outlives its line"
+            );
+        }
+        // The next load of the stream prefetches line 5 again.
+        let issued = m.stats().prefetches_issued;
+        m.load(0, line(3), now);
+        let g = m.inner.lock();
+        assert!(g.l3[0].contains(five), "line 5 prefetched again");
+        assert!(g.inflight.contains_key(&five.line()));
+        assert!(g.stats.prefetches_issued > issued);
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl FidelityModel {
         }
     }
 
-    /// The run seed currently in effect.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn amplitude(&self, event: EventKind) -> f64 {
         match event {
             // Stall-cycle counters (load- and store-side) share the

@@ -109,11 +109,6 @@ impl PmuState {
         }
     }
 
-    /// The fidelity model applied on every read, fixed at construction.
-    pub fn fidelity(&self) -> FidelityModel {
-        self.fidelity
-    }
-
     pub(crate) fn program_bank(
         &self,
         core: CoreId,

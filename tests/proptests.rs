@@ -368,12 +368,13 @@ impl RefCache {
         }
     }
 
+    /// A line already present is refreshed like a dirtying touch.
     fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let ways = self.ways;
-        let set = self.data.entry(self.set_of(line)).or_default();
-        if set.iter().any(|(l, _)| *l == line) {
+        if self.touch(line, dirty) {
             return None;
         }
+        let ways = self.ways;
+        let set = self.data.entry(self.set_of(line)).or_default();
         let evicted = if set.len() >= ways {
             Some(set.remove(0))
         } else {
@@ -382,40 +383,80 @@ impl RefCache {
         set.push((line, dirty));
         evicted
     }
+
+    /// Removes the line from its set's list; returns its dirty bit.
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let set = self.data.entry(self.set_of(line)).or_default();
+        let pos = set.iter().position(|(l, _)| *l == line)?;
+        Some(set.remove(pos).1)
+    }
+
+    fn invalidate_all(&mut self) {
+        self.data.clear();
+    }
+
+    fn occupancy(&self) -> usize {
+        self.data.values().map(Vec::len).sum()
+    }
+}
+
+/// Compares a real and a model eviction.
+fn same_eviction(real: Option<quartz_memsim::cache::Evicted>, model: Option<(u64, bool)>) {
+    match (real, model) {
+        (None, None) => {}
+        (Some(r), Some(m)) => {
+            assert_eq!(r.line, m.0, "evicted different victims");
+            assert_eq!(r.dirty, m.1, "victim dirtiness diverged");
+        }
+        (r, m) => panic!("eviction mismatch: {r:?} vs {m:?}"),
+    }
 }
 
 proptest! {
+    /// The cache against the reference LRU over random touches (a miss
+    /// filled through the probe-free `fill_after_miss`), plain fills of
+    /// present or absent lines, invalidations and whole-cache
+    /// invalidations, on every geometry up to 16 sets of 16 ways. Lines
+    /// come from twice the capacity, so sets both hit and evict.
     #[test]
     fn cache_matches_reference_lru_model(
-        ways in 1usize..6,
-        sets_log2 in 0u32..4,
-        ops in proptest::collection::vec((0u64..128, proptest::bool::ANY), 1..300),
+        ways in 1usize..17,
+        sets_log2 in 0u32..5,
+        ops in proptest::collection::vec((0u8..128, 0u64..1 << 16, proptest::bool::ANY), 1..400),
     ) {
         let sets = 1u64 << sets_log2;
         let mut cache = Cache::new(CacheGeometry::new(sets * ways as u64 * 64, ways));
         let mut model = RefCache::new(sets, ways);
-        for (lineno, dirty) in ops {
-            let a = Addr::on_node(NodeId(0), lineno * 64);
+        let span = 2 * sets * ways as u64;
+        for (kind, lineno, dirty) in ops {
+            let a = Addr::on_node(NodeId(0), (lineno % span) * 64);
             let line = a.line();
-            let hit_real = if dirty {
-                cache.touch_dirty(a) == Lookup::Hit
-            } else {
-                cache.touch(a) == Lookup::Hit
-            };
-            let hit_model = model.touch(line, dirty);
-            prop_assert_eq!(hit_real, hit_model, "hit/miss diverged on line {}", lineno);
-            if !hit_real {
-                let ev_real = cache.fill(a, dirty);
-                let ev_model = model.fill(line, dirty);
-                match (ev_real, ev_model) {
-                    (None, None) => {}
-                    (Some(r), Some(m)) => {
-                        prop_assert_eq!(r.line, m.0, "evicted different victims");
-                        prop_assert_eq!(r.dirty, m.1, "victim dirtiness diverged");
+            match kind {
+                0 => {
+                    cache.invalidate_all();
+                    model.invalidate_all();
+                }
+                1..=8 => prop_assert_eq!(
+                    cache.invalidate(a),
+                    model.invalidate(line),
+                    "invalidate diverged on line {}",
+                    line
+                ),
+                9..=24 => same_eviction(cache.fill(a, dirty), model.fill(line, dirty)),
+                _ => {
+                    let hit_real = if dirty {
+                        cache.touch_dirty(a) == Lookup::Hit
+                    } else {
+                        cache.touch(a) == Lookup::Hit
+                    };
+                    let hit_model = model.touch(line, dirty);
+                    prop_assert_eq!(hit_real, hit_model, "hit/miss diverged on line {}", line);
+                    if !hit_real {
+                        same_eviction(cache.fill_after_miss(a, dirty), model.fill(line, dirty));
                     }
-                    (r, m) => prop_assert!(false, "eviction mismatch: {:?} vs {:?}", r, m),
                 }
             }
+            prop_assert_eq!(cache.occupancy(), model.occupancy());
         }
     }
 

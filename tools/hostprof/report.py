@@ -7,7 +7,9 @@ a source line; samples elsewhere are counted per object. Prints the self
 share of the top 25 functions and source lines, then the owners of the
 synchronisation samples: those whose innermost line is lock, reference
 count or atomic code, grouped by the innermost repository frame of their
-inline chain.
+inline chain. A last table groups every sample inside the binary by that
+same frame, so a library line (a compare, a pointer step) inlined into a
+repository loop is charged to the loop.
 
     python3 tools/hostprof/report.py hostprof.1234.out
 
@@ -101,15 +103,22 @@ def resolve_binary(binary, addrs):
     return dict(zip(addrs, chains))
 
 
+def repo_frame(chain):
+    """The innermost repository frame of an inline chain, skipping the
+    lock shim's, as "file:line  function"; a chain without one is named
+    by its outermost function."""
+    for func, loc in chain:
+        if loc.startswith(OWNER_ROOTS) and not loc.startswith(LOCK_SHIM):
+            return "%s  %s" % (loc, func)
+    return "(no repository frame)  %s" % chain[-1][0]
+
+
 def sync_owner(chain):
     """The owner of a synchronisation sample, or None if the sample's
     innermost line is not synchronisation code."""
     if not any(root in chain[0][1] for root in SYNC_CODE):
         return None
-    for func, loc in chain:
-        if loc.startswith(OWNER_ROOTS) and not loc.startswith(LOCK_SHIM):
-            return "%s  %s" % (loc, func)
-    return "(no repository frame)  %s" % chain[-1][0]
+    return repo_frame(chain)
 
 
 def table(title, counter, total):
@@ -136,7 +145,7 @@ def main():
           % (path, total, in_binary, 100.0 * share, exe))
 
     funcs, lines, outside = collections.Counter(), collections.Counter(), collections.Counter()
-    owners = collections.Counter()
+    owners, frames = collections.Counter(), collections.Counter()
     if in_binary:
         bias = objects[0][0]
         vaddrs = [pc - bias for pc in by_object[0]]
@@ -146,6 +155,7 @@ def main():
             func, loc = chain[0]
             funcs[func] += 1
             lines[loc] += 1
+            frames[repo_frame(chain)] += 1
             owner = sync_owner(chain)
             if owner is not None:
                 owners[owner] += 1
@@ -161,6 +171,8 @@ def main():
         synced = sum(owners.values())
         table("synchronisation samples (%.1f%% of all), by innermost repository frame"
               % (100.0 * synced / total), owners, total)
+        table("all samples inside the binary, by innermost repository frame",
+              frames, total)
 
     failed = []
     if total < MIN_SAMPLES:
