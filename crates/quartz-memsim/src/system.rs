@@ -159,6 +159,15 @@ impl Inner {
             self.active_cores.push(core);
         }
     }
+
+    /// Drops `line`'s in-flight prefetch record, if any. A run that never
+    /// prefetches keeps the map empty, so this skips the hash and probe.
+    #[inline]
+    fn drop_inflight(&mut self, line: u64) {
+        if !self.inflight.is_empty() {
+            self.inflight.remove(&line);
+        }
+    }
 }
 
 /// The fixed latencies of the hierarchy, converted from the platform's
@@ -721,7 +730,7 @@ impl MemorySystem {
     /// Drops an L3 victim's in-flight record and writes it back if dirty.
     fn retire_l3_victim(&self, g: &mut Inner, ev: Option<Evicted>, now: SimTime) {
         if let Some(ev) = ev {
-            g.inflight.remove(&ev.line);
+            g.drop_inflight(ev.line);
             if ev.dirty {
                 // Dirty L3 victim: write back to its home node.
                 let victim = Addr(ev.line * LINE_SIZE);
@@ -829,7 +838,7 @@ impl MemorySystem {
         g.l3[socket].invalidate(addr);
         // The line left the L3, so a prefetch of it is no longer in
         // flight there (as in `invalidate_line`).
-        g.inflight.remove(&addr.line());
+        g.drop_inflight(addr.line());
         let node = addr.node();
         let t = g.channels.reserve(node, addr.line(), now);
         g.stats.stream_stores += 1;
@@ -948,7 +957,7 @@ impl MemorySystem {
         if let Some(d) = g.l3[socket].invalidate(addr) {
             dirty |= d;
         }
-        g.inflight.remove(&addr.line());
+        g.drop_inflight(addr.line());
         dirty
     }
 }

@@ -53,8 +53,6 @@ impl MemLatConfig {
 pub struct MemLatResult {
     /// Total virtual time for the measured iterations.
     pub elapsed: Duration,
-    /// Loads issued during measurement.
-    pub accesses: u64,
     /// Iterations executed.
     pub iterations: u64,
 }
@@ -120,7 +118,6 @@ pub fn run_memlat(ctx: &mut ThreadCtx, config: &MemLatConfig) -> MemLatResult {
     }
     MemLatResult {
         elapsed,
-        accesses: config.iterations * config.chains as u64,
         iterations: config.iterations,
     }
 }
@@ -207,7 +204,6 @@ mod tests {
             *o.lock() = Some(run_memlat(ctx, &cfg));
         });
         let r = out.lock().unwrap();
-        assert_eq!(r.accesses, 200);
         assert_eq!(r.iterations, 100);
         assert!(r.elapsed > Duration::ZERO);
     }

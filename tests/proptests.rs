@@ -9,6 +9,7 @@ use quartz_memsim::{Addr, CacheGeometry, MemorySystem, NumaAllocator};
 use quartz_platform::pmu::{EventKind, FidelityModel, RawEvent};
 use quartz_platform::time::{Duration, Frequency, SimTime};
 use quartz_platform::{Architecture, NodeId};
+use quartz_workloads::chain::{Chain, Rng};
 use quartz_workloads::zipf::Zipf;
 
 proptest! {
@@ -412,6 +413,31 @@ fn same_eviction(real: Option<quartz_memsim::cache::Evicted>, model: Option<(u64
     }
 }
 
+/// The chain construction `Chain` replaced: the same Sattolo shuffle,
+/// turned into a successor table (`next[perm[k]] = perm[k + 1]`) and
+/// chased from `perm[0]`. Returns the first `steps` line indices visited.
+fn successor_table_walk(len: u64, seed: u64, steps: usize) -> Vec<u64> {
+    let n = len as usize;
+    let mut perm: Vec<u32> = (0..len as u32).collect();
+    let mut rng = Rng::new(seed);
+    for i in (1..n).rev() {
+        let j = rng.below(i as u64) as usize;
+        perm.swap(i, j);
+    }
+    let mut next = vec![0u32; n];
+    for k in 0..n {
+        next[perm[k] as usize] = perm[(k + 1) % n];
+    }
+    let mut cur = perm[0];
+    (0..steps)
+        .map(|_| {
+            let line = cur;
+            cur = next[cur as usize];
+            u64::from(line)
+        })
+        .collect()
+}
+
 proptest! {
     /// The cache against the reference LRU over random touches (a miss
     /// filled through the probe-free `fill_after_miss`), plain fills of
@@ -660,5 +686,48 @@ proptest! {
                 .as_ps()
         };
         prop_assert_eq!(run(seeds.clone()), run(seeds));
+    }
+
+    // ------------------------------------------------------------------
+    // Pointer chains: the visit order against the successor table.
+    // ------------------------------------------------------------------
+
+    /// For ANY length and seed, a chain's first `2·len + 1` visits, as
+    /// lines from the lowest, equal the successor table's walk, both
+    /// through `step` and through `current_addr` plus `advance_cursor`.
+    #[test]
+    fn chain_walk_matches_successor_table(len in 2u64..4_096, seed in 0u64..u64::MAX) {
+        use std::sync::{Arc, Mutex};
+        let steps = 2 * len as usize + 1;
+        let walks = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+        let out = Arc::clone(&walks);
+        let mem = quartz_bench::MachineSpec::new(Architecture::IvyBridge).build();
+        quartz_threadsim::Engine::new(mem).run(move |ctx| {
+            let mut stepped = Chain::build(ctx, NodeId(0), len, seed);
+            let mut advanced = stepped.clone();
+            let via_step: Vec<Addr> = (0..steps)
+                .map(|_| {
+                    let a = stepped.current_addr();
+                    stepped.step(ctx);
+                    a
+                })
+                .collect();
+            let via_cursor: Vec<Addr> = (0..steps)
+                .map(|_| {
+                    let a = advanced.current_addr();
+                    advanced.advance_cursor();
+                    a
+                })
+                .collect();
+            *out.lock().unwrap() = (via_step, via_cursor);
+        });
+        let (via_step, via_cursor) = std::mem::take(&mut *walks.lock().unwrap());
+        let want = successor_table_walk(len, seed, steps);
+        let lines = |addrs: &[Addr]| -> Vec<u64> {
+            let base = addrs.iter().min().expect("a walk").0;
+            addrs.iter().map(|a| (a.0 - base) / 64).collect()
+        };
+        prop_assert!(lines(&via_step) == want, "step walk, len {}, seed {}", len, seed);
+        prop_assert!(lines(&via_cursor) == want, "cursor walk, len {}, seed {}", len, seed);
     }
 }
