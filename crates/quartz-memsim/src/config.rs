@@ -6,6 +6,10 @@ use crate::addr::LINE_SIZE;
 /// index per way (see [`crate::cache`]).
 pub const MAX_WAYS: usize = 16;
 
+/// Most streams a prefetcher may track: its recency list links slots by
+/// `u8` index, with `u8::MAX` as the list's end (see [`crate::prefetch`]).
+pub const MAX_STREAMS: usize = 255;
+
 /// Geometry of one set-associative cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -58,7 +62,8 @@ impl CacheGeometry {
 pub struct PrefetchConfig {
     /// Whether the prefetcher is active.
     pub enabled: bool,
-    /// Number of concurrently tracked streams per core.
+    /// Number of concurrently tracked streams per core, 1 to
+    /// [`MAX_STREAMS`].
     pub streams: usize,
     /// Consecutive same-stride line accesses before prefetching starts.
     pub trigger: u32,
