@@ -184,12 +184,6 @@ impl MemSimConfig {
         self.channels_per_node as f64 * self.channel_bw_gbps
     }
 
-    /// Returns a copy with the prefetcher disabled (ablations).
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch.enabled = false;
-        self
-    }
-
     /// Returns a copy with jitter disabled (unit tests that need exact
     /// latencies).
     pub fn without_jitter(mut self) -> Self {
@@ -239,11 +233,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = MemSimConfig::default()
-            .without_prefetch()
-            .without_jitter()
-            .with_seed(9);
-        assert!(!c.prefetch.enabled);
+        let c = MemSimConfig::default().without_jitter().with_seed(9);
         assert!(!c.jitter);
         assert_eq!(c.seed, 9);
     }

@@ -45,7 +45,6 @@ pub mod prefetch;
 pub mod stats;
 pub mod system;
 pub mod tlb;
-pub mod trace;
 
 pub use addr::Addr;
 pub use alloc::NumaAllocator;

@@ -316,11 +316,6 @@ impl MemorySystem {
         self.allocator.free(addr)
     }
 
-    /// The allocator (for direct inspection).
-    pub fn allocator(&self) -> &NumaAllocator {
-        &self.allocator
-    }
-
     /// A snapshot of ground-truth statistics.
     pub fn stats(&self) -> MemStats {
         self.inner.lock().stats.clone()

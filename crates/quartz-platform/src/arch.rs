@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::time::{Duration, Frequency};
+use crate::time::Frequency;
 
 /// The Intel Xeon processor families the Quartz prototype supports
 /// (paper §3.1).
@@ -119,11 +119,6 @@ impl LatencyBand {
             avg_ns,
             max_ns,
         }
-    }
-
-    /// The average latency as a [`Duration`].
-    pub fn avg(self) -> Duration {
-        Duration::from_ns(self.avg_ns)
     }
 
     /// Half-width of the band around the average, in ns — the amplitude of

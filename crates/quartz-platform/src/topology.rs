@@ -71,11 +71,6 @@ impl Topology {
         self.sockets
     }
 
-    /// Number of cores per socket.
-    pub fn cores_per_socket(&self) -> usize {
-        self.cores_per_socket
-    }
-
     /// Total number of cores.
     pub fn num_cores(&self) -> usize {
         self.sockets * self.cores_per_socket

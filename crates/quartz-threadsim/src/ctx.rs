@@ -747,8 +747,8 @@ impl ThreadCtx {
         });
     }
 
-    /// Raises [`Hooks::on_atomic`](crate::Hooks::on_atomic) unless
-    /// already inside a hook (hook operations do not re-enter hooks).
+    /// Raises [`Hooks::on_atomic`] unless already inside a hook (hook
+    /// operations do not re-enter hooks).
     fn dispatch_atomic(&mut self, ev: &AtomicEvent) {
         self.dispatch(|h, ctx| h.on_atomic(ctx, ev));
     }

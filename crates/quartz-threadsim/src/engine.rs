@@ -921,10 +921,10 @@ fn advance_sources(st: &mut SchedState) -> bool {
 }
 
 /// Fires timer `idx` at its scheduled instant: runs the callback,
-/// applies its effects (signals, channel injections/closes, stop,
-/// reschedule), and advances `next_fire`. Returns the minimum clock of
-/// any thread it woke, so a running thread can trim its lookahead
-/// deadline. Must be called with the scheduler lock held.
+/// applies its effects (signals, channel injections, stop, reschedule),
+/// and advances `next_fire`. Returns the minimum clock of any thread it
+/// woke, so a running thread can trim its lookahead deadline. Must be
+/// called with the scheduler lock held.
 pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
     let fire_time = st.timers[idx].next_fire;
     let period = st.timers[idx].period;
@@ -944,7 +944,6 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
         signalled: Vec::new(),
         defer: Duration::ZERO,
         injected: std::mem::take(&mut st.timer_injected),
-        closed: Vec::new(),
         next_gap: None,
         stopped: false,
     };
@@ -953,7 +952,6 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
         signalled,
         defer,
         mut injected,
-        closed,
         next_gap,
         stopped,
         ..
@@ -974,9 +972,6 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
         wake_one_receiver(st, ch.0, fire_time, &mut min_wake);
     }
     st.timer_injected = injected;
-    for ch in closed {
-        close_channel(st, ch.0, fire_time, &mut min_wake);
-    }
     if stopped {
         st.timers[idx].next_fire = TIMER_NEVER;
         let feeds = std::mem::take(&mut st.timers[idx].feeds);

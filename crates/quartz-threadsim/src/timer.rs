@@ -35,8 +35,6 @@ pub struct TimerApi<'a> {
     pub(crate) defer: Duration,
     /// One entry per payload pushed into a channel buffer this firing.
     pub(crate) injected: Vec<ChannelId>,
-    /// Channels to close at the firing instant.
-    pub(crate) closed: Vec<ChannelId>,
     /// Overrides the gap to the next firing (else the period is used).
     pub(crate) next_gap: Option<Duration>,
     /// The callback declared itself exhausted; deregister the timer.
@@ -75,12 +73,6 @@ impl TimerApi<'_> {
     pub fn send<T: Send>(&mut self, ch: &SimChannel<T>, value: T) {
         ch.push(value);
         self.injected.push(ch.id());
-    }
-
-    /// Closes `ch` at the firing instant: parked receivers wake and
-    /// drain; future `recv`s return `None` once the buffer empties.
-    pub fn close<T: Send>(&mut self, ch: &SimChannel<T>) {
-        self.closed.push(ch.id());
     }
 
     /// Schedules the *next* firing `gap` after this one instead of the
