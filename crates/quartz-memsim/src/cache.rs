@@ -19,6 +19,12 @@
 //!
 //! [`Cache::fill_after_miss`] fills a line the caller has just missed on
 //! without probing for it again.
+//!
+//! [`Cache::new`] allocates nothing: the four arrays are built, in the
+//! empty state (every tag `INVALID_LINE`, every recency word the
+//! identity), by the first fill. Until then the arrays are empty, so the
+//! set probe misses and every read answers as an empty cache does; a
+//! machine pays only for the caches its run fills.
 
 use crate::addr::Addr;
 use crate::config::{CacheGeometry, MAX_WAYS};
@@ -66,7 +72,8 @@ pub struct Cache {
     full: u16,
     /// Bit offset of the least recent field of a recency word.
     lru_shift: u32,
-    /// Line tags, `sets * ways` long; `INVALID_LINE` = empty way.
+    /// Line tags, `sets * ways` long once built and empty before the
+    /// first fill; `INVALID_LINE` = empty way.
     tags: Vec<u64>,
     /// Dirty bit per way slot, parallel to `tags`.
     dirty: Vec<bool>,
@@ -78,7 +85,8 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Builds an empty cache of the given geometry.
+    /// Makes an empty cache of the given geometry. Its arrays are built
+    /// by its first fill.
     ///
     /// # Panics
     ///
@@ -99,17 +107,40 @@ impl Cache {
             (1..=MAX_WAYS).contains(&ways),
             "cache needs 1 to {MAX_WAYS} ways, got {ways}"
         );
-        let slots = (sets as usize) * ways;
         Cache {
             set_mask: sets - 1,
             ways,
             full: ((1u32 << ways) - 1) as u16,
             lru_shift: 4 * (ways as u32 - 1),
-            tags: vec![INVALID_LINE; slots],
-            dirty: vec![false; slots],
-            order: vec![IDENTITY_ORDER; sets as usize],
-            valid: vec![0; sets as usize],
+            tags: Vec::new(),
+            dirty: Vec::new(),
+            order: Vec::new(),
+            valid: Vec::new(),
         }
+    }
+
+    /// Number of sets.
+    #[inline]
+    fn sets(&self) -> usize {
+        self.set_mask as usize + 1
+    }
+
+    /// Builds the arrays in the empty state: every way free, every
+    /// recency word the identity.
+    #[cold]
+    #[inline(never)]
+    fn build(&mut self) {
+        let slots = self.sets() * self.ways;
+        self.tags = vec![INVALID_LINE; slots];
+        self.dirty = vec![false; slots];
+        self.order = vec![IDENTITY_ORDER; self.sets()];
+        self.valid = vec![0; self.sets()];
+    }
+
+    /// Whether the first fill has built the arrays.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        !self.tags.is_empty()
     }
 
     #[inline]
@@ -119,11 +150,18 @@ impl Cache {
 
     /// Probes `set` for `line`; returns the way on a hit. This is the
     /// batched line probe every lookup funnels through: one linear
-    /// compare over the set's contiguous tag slice.
+    /// compare over the set's contiguous tag slice. An unbuilt cache has
+    /// no slice, so it misses.
     #[inline]
     fn probe(&self, set: usize, line: u64) -> Option<usize> {
+        debug_assert!(
+            self.tags.is_empty() || self.tags.len() == self.sets() * self.ways,
+            "built cache holds {} tags, not sets x ways",
+            self.tags.len()
+        );
         let base = set * self.ways;
-        self.tags[base..base + self.ways]
+        self.tags
+            .get(base..base + self.ways)?
             .iter()
             .position(|&t| t == line)
     }
@@ -217,9 +255,13 @@ impl Cache {
     }
 
     /// Puts an absent `line` into `set`: the lowest free way, or else
-    /// the least recent one.
+    /// the least recent one. Every fill comes through here, so this is
+    /// where an unbuilt cache is built.
     #[inline]
     fn fill_way(&mut self, set: usize, line: u64, dirty: bool) -> Option<Evicted> {
+        if self.valid.is_empty() {
+            self.build();
+        }
         let valid = self.valid[set];
         let way = if valid == self.full {
             ((self.order[set] >> self.lru_shift) & 0xF) as usize
@@ -261,7 +303,8 @@ impl Cache {
     /// Invalidates everything (used between experiment trials, like the
     /// paper's "we invalidate caches between the runs", §4.7 footnote).
     /// Recency words are left as they are: no set is full until each of
-    /// its ways has been filled, and so moved to the front, again.
+    /// its ways has been filled, and so moved to the front, again. An
+    /// unbuilt cache has nothing to clear and stays unbuilt.
     pub fn invalidate_all(&mut self) {
         self.tags.fill(INVALID_LINE);
         self.dirty.fill(false);
@@ -402,6 +445,71 @@ mod tests {
             size_bytes: 17 * 64,
             ways: 17,
         });
+    }
+
+    #[test]
+    fn fresh_cache_holds_no_arrays() {
+        let c = Cache::new(CacheGeometry::new(32 * 1024, 8));
+        assert!(!c.is_built());
+        assert!(c.tags.capacity() == 0 && c.dirty.capacity() == 0);
+        assert!(c.order.capacity() == 0 && c.valid.capacity() == 0);
+    }
+
+    #[test]
+    fn reads_before_the_first_fill_answer_as_an_empty_cache_and_build_nothing() {
+        let mut c = small_cache();
+        // Line 0 first: a free way built with tag 0 would match it.
+        for off in [0, 64, 128, 192, 256] {
+            let a = addr(off);
+            assert!(!c.contains(a));
+            assert_eq!(c.touch(a), Lookup::Miss);
+            assert_eq!(c.touch_dirty(a), Lookup::Miss);
+            assert_eq!(c.invalidate(a), None);
+        }
+        c.invalidate_all();
+        assert_eq!(c.occupancy(), 0);
+        assert!(!c.is_built());
+    }
+
+    #[test]
+    fn first_fill_builds_the_empty_state() {
+        let fills: [fn(&mut Cache, Addr) -> Option<Evicted>; 2] =
+            [|c, a| c.fill(a, true), |c, a| c.fill_after_miss(a, true)];
+        for fill in fills {
+            let mut c = small_cache();
+            // Line 2: set 0, like line 0, which must still miss.
+            assert_eq!(fill(&mut c, addr(128)), None);
+            assert!(c.is_built());
+            assert_eq!(c.tags.len(), 4);
+            assert_eq!(c.dirty.len(), 4);
+            assert_eq!(c.valid, [1, 0]);
+            // Way 0 moved to the front of an identity word.
+            assert_eq!(c.order, [IDENTITY_ORDER, IDENTITY_ORDER]);
+            assert_eq!(c.tags[1..], [INVALID_LINE; 3]);
+            assert!(!c.contains(addr(0)));
+            assert_eq!(c.touch(addr(0)), Lookup::Miss);
+            assert_eq!(c.occupancy(), 1);
+            assert_eq!(c.invalidate(addr(128)), Some(true));
+        }
+    }
+
+    #[test]
+    fn built_and_unbuilt_caches_evict_alike() {
+        // One cache built by a fill that is then invalidated, one built
+        // by the sequence's own first fill: same victims in either.
+        let mut built = small_cache();
+        built.fill(addr(64), false);
+        built.invalidate(addr(64));
+        let mut fresh = small_cache();
+        for off in [0, 256, 512, 0, 768, 256] {
+            assert_eq!(built.touch(addr(off)), fresh.touch(addr(off)));
+            assert_eq!(
+                built.fill(addr(off), off == 0),
+                fresh.fill(addr(off), off == 0)
+            );
+        }
+        assert_eq!(built.order, fresh.order);
+        assert_eq!(built.tags, fresh.tags);
     }
 
     #[test]

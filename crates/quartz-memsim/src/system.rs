@@ -1016,6 +1016,28 @@ mod tests {
         }
     }
 
+    /// The cores whose L1 and L2 and the sockets whose L3 are built.
+    fn built(m: &MemorySystem) -> [Vec<usize>; 3] {
+        let g = m.inner.lock();
+        let on = |cs: &[Cache]| (0..cs.len()).filter(|&i| cs[i].is_built()).collect();
+        [on(&g.l1), on(&g.l2), on(&g.l3)]
+    }
+
+    /// A machine builds no cache; each is built by its first fill, so a
+    /// run pays only for the cores and sockets it touches.
+    #[test]
+    fn caches_are_built_at_their_first_fill() {
+        let m = mem(Architecture::IvyBridge);
+        assert_eq!(built(&m), [vec![], vec![], vec![]]);
+        let a = m.alloc(NodeId(0), 4096).unwrap();
+        m.load(0, a, SimTime::ZERO);
+        assert_eq!(built(&m), [vec![0], vec![0], vec![0]]);
+        let far = m.platform().topology().num_cores() - 1;
+        assert_eq!(m.socket_of(far), 1);
+        m.store(far, a, SimTime::from_ns(200));
+        assert_eq!(built(&m), [vec![0, far], vec![0, far], vec![0, 1]]);
+    }
+
     #[test]
     fn load_hierarchy_levels() {
         let m = mem(Architecture::IvyBridge);

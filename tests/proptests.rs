@@ -396,6 +396,12 @@ impl RefCache {
         self.data.clear();
     }
 
+    fn contains(&self, line: u64) -> bool {
+        self.data
+            .get(&self.set_of(line))
+            .is_some_and(|set| set.iter().any(|(l, _)| *l == line))
+    }
+
     fn occupancy(&self) -> usize {
         self.data.values().map(Vec::len).sum()
     }
@@ -441,9 +447,10 @@ fn successor_table_walk(len: u64, seed: u64, steps: usize) -> Vec<u64> {
 proptest! {
     /// The cache against the reference LRU over random touches (a miss
     /// filled through the probe-free `fill_after_miss`), plain fills of
-    /// present or absent lines, invalidations and whole-cache
+    /// present or absent lines, lookups, invalidations and whole-cache
     /// invalidations, on every geometry up to 16 sets of 16 ways. Lines
-    /// come from twice the capacity, so sets both hit and evict.
+    /// come from twice the capacity, so sets both hit and evict. Every
+    /// op may come before the first fill, which builds the cache.
     #[test]
     fn cache_matches_reference_lru_model(
         ways in 1usize..17,
@@ -469,6 +476,12 @@ proptest! {
                     line
                 ),
                 9..=24 => same_eviction(cache.fill(a, dirty), model.fill(line, dirty)),
+                25..=40 => prop_assert_eq!(
+                    cache.contains(a),
+                    model.contains(line),
+                    "contains diverged on line {}",
+                    line
+                ),
                 _ => {
                     let hit_real = if dirty {
                         cache.touch_dirty(a) == Lookup::Hit
